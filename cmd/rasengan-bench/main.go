@@ -43,7 +43,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "base seed")
 		full      = flag.Bool("full", false, "paper-scale parameters (slow)")
 		maxDense  = flag.Int("maxdense", 0, "dense-baseline qubit cap (0 = default)")
-		engine    = flag.String("engine", "", "Rasengan execution engine: map or compiled (default: compiled)")
 		jsonDir   = flag.String("json", "", "also write each experiment's structured result as JSON into this directory")
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON of every solve's stage spans (open in chrome://tracing or Perfetto)")
 		ckptDir   = flag.String("checkpoint", "", "checkpoint every Rasengan solve into this directory and resume from matching checkpoints, so an interrupted sweep continues instead of restarting")
@@ -57,9 +56,6 @@ func main() {
 	}
 	if *cases < 0 || *iters < 0 || *shots < 0 || *layers < 0 || *maxDense < 0 {
 		log.Fatal("-cases, -iters, -shots, -layers, and -maxdense must be >= 0")
-	}
-	if !rasengan.ValidEngine(*engine) {
-		log.Fatalf("-engine must be %q or %q (got %q)", rasengan.EngineMap, rasengan.EngineCompiled, *engine)
 	}
 	// Ctrl-C cancels the in-flight experiment cooperatively (solves stop
 	// at their next iteration boundary) instead of discarding hours of a
@@ -79,7 +75,6 @@ func main() {
 		Seed:           *seed,
 		Full:           *full,
 		MaxDenseQubits: *maxDense,
-		Engine:         *engine,
 		Workers:        workers,
 		Ctx:            ctx,
 		CheckpointDir:  *ckptDir,

@@ -5,7 +5,7 @@
 //
 //	rasengan-gateway -addr :8080 -backend n1=http://10.0.0.1:8081 -backend n2=http://10.0.0.2:8081
 //	rasengan-gateway -addr :8080 -backend http://a:8081 -backend http://b:8081   # auto-named n1, n2
-//	rasengan-gateway -addr :8080 -backend n1=http://a:8081 -hedge-delay 150ms    # hedged polls
+//	rasengan-gateway -addr :8080 -backend n1=http://a:8081 -health-interval 250ms   # faster ejection
 //
 // Routing is keyed on the canonical spec hash, so repeat submissions
 // of one spec land on the backend already holding its cached payload,
@@ -20,7 +20,7 @@
 // /v1/solve, /v1/solve/batch, /v1/jobs, /v1/jobs/{id} (+ /events SSE,
 // /cancel), /v1/problems, /healthz, and its own /metrics
 // (rasengan_gateway_* series: per-backend up/queued/executing gauges,
-// retry/hedge/failover counters, route latency histograms).
+// retry/failover counters, route latency histograms).
 //
 // Job ids are "<backend>.<upstream id>", so any gateway instance can
 // route a poll statelessly. When a backend dies, polls for its jobs
@@ -84,7 +84,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		vnodes     = flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per backend on the hash ring")
 		seed       = flag.Uint64("seed", 0, "ring placement seed (gateways sharing seed and backends route identically)")
-		hedge      = flag.Duration("hedge-delay", 0, "hedge idle job polls to the next ring replica after this long (0 disables)")
 		healthInt  = flag.Duration("health-interval", time.Second, "active /healthz probe period")
 		healthTO   = flag.Duration("health-timeout", 0, "per-probe timeout (0 = the probe period)")
 		failN      = flag.Int("fail-threshold", 2, "consecutive failed probes before a backend is ejected")
@@ -110,8 +109,8 @@ func main() {
 	if *vnodes < 1 {
 		fatal("-vnodes must be >= 1", "got", *vnodes)
 	}
-	if *hedge < 0 || *healthInt <= 0 || *healthTO < 0 {
-		fatal("-hedge-delay/-health-timeout must be >= 0 and -health-interval > 0")
+	if *healthInt <= 0 || *healthTO < 0 {
+		fatal("-health-timeout must be >= 0 and -health-interval > 0")
 	}
 	if *failN < 1 || *riseN < 1 {
 		fatal("-fail-threshold and -rise-threshold must be >= 1")
@@ -133,7 +132,6 @@ func main() {
 			MaxDelay:    *retryMax,
 			Budget:      *retryBudg,
 		},
-		HedgeDelay:     *hedge,
 		HealthInterval: *healthInt,
 		HealthTimeout:  *healthTO,
 		FailThreshold:  *failN,
@@ -161,7 +159,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr, "backends", backends.String(),
-			"vnodes", *vnodes, "seed", *seed, "hedge_delay", hedge.String())
+			"vnodes", *vnodes, "seed", *seed)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -48,7 +48,6 @@ func main() {
 		saveSched = flag.String("save-schedule", "", "write the pruned schedule as JSON to this path")
 		dumpProb  = flag.String("dump-problem", "", "write the instance as JSON to this path")
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON of the offline stages (open in chrome://tracing or Perfetto)")
-		engine    = flag.String("engine", "", "execution engine to compile for: map or compiled (default: compiled)")
 		ckptFile  = flag.String("checkpoint", "", "summarize this solve checkpoint file and exit")
 		eventsSrc = flag.String("events", "", "dump a flight-recorder event window and exit: a /debug/events URL or an events.json file (e.g. from an anomaly capture)")
 	)
@@ -162,7 +161,7 @@ func main() {
 
 	checkpoint("segmentation")
 	sp = rec.Start(obs.StageCircuit, 0, obs.NoParent)
-	exec, err := core.NewExecutor(p, sched.Ops, core.ExecOptions{Engine: *engine})
+	exec, err := core.NewExecutor(p, sched.Ops, core.ExecOptions{})
 	rec.End(sp)
 	if err != nil {
 		log.Fatal(err)

@@ -118,7 +118,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "optional diagnostics listener (net/http/pprof + /debug/vars); bind to localhost")
 		queueCap  = flag.Int("queue", 64, "job queue capacity (full queue answers 429 with a computed Retry-After)")
 		executors = flag.Int("executors", 2, "jobs solved concurrently (each fans onto the shared worker pool)")
-		maxJobs   = flag.Int("max-concurrent-jobs", 0, "alias for -executors; overrides it when > 0")
 		budget    = flag.Int("worker-budget", 0, "total compute budget leased across executing solves (0 = worker-pool width); 1 job gets all of it, N jobs ~1/N each")
 		maxBatch  = flag.Int("max-batch", 16, "largest accepted POST /v1/solve/batch item count")
 		shedMark  = flag.Float64("shed-watermark", 0, "queue fraction in (0,1) past which new work is shed with 429 before the queue is literally full; 0 disables")
@@ -127,7 +126,6 @@ func main() {
 		maxIter   = flag.Int("max-iters", 300, "cap on per-request optimizer iterations")
 		maxVars   = flag.Int("max-vars", 40, "largest accepted problem width in variables")
 		drainWait = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for accepted jobs")
-		engine    = flag.String("engine", "", "execution engine for every solve: map or compiled (default: compiled; not part of the cache key)")
 		dataDir   = flag.String("data-dir", "", "durable state directory (job journal, result blobs, warm-start store); empty = in-memory only")
 		retention = flag.Int("retention", 1024, "terminal jobs kept queryable via GET /v1/jobs")
 		warmCap   = flag.Int("warm-capacity", 4096, "warm-start parameter vectors retained (with -data-dir)")
@@ -155,9 +153,6 @@ func main() {
 	if *queueCap < 1 {
 		fatal("-queue must be >= 1", "got", *queueCap)
 	}
-	if *maxJobs > 0 {
-		*executors = *maxJobs
-	}
 	if *executors < 1 {
 		fatal("-executors must be >= 1", "got", *executors)
 	}
@@ -177,9 +172,6 @@ func main() {
 	}
 	if *maxVars < 1 {
 		fatal("-max-vars must be >= 1", "got", *maxVars)
-	}
-	if !core.ValidEngine(*engine) {
-		fatal("-engine must be \"map\" or \"compiled\"", "got", *engine)
 	}
 	if *retention < 1 {
 		fatal("-retention must be >= 1", "got", *retention)
@@ -211,7 +203,6 @@ func main() {
 		JobRetention:      *retention,
 		DataDir:           *dataDir,
 		WarmStartCapacity: *warmCap,
-		Engine:            *engine,
 		Logger:            logger,
 		EventRingSize:     *eventRing,
 		MaxEventStreams:   *maxSSE,

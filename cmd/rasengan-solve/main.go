@@ -44,7 +44,6 @@ func main() {
 		iters      = flag.Int("iters", 150, "optimizer iteration budget")
 		shots      = flag.Int("shots", 0, "shots per segment (0 = exact noise-free)")
 		devName    = flag.String("device", "", "device model: kyiv, brisbane, quebec (empty = ideal)")
-		engine     = flag.String("engine", "", "execution engine: map or compiled (default: compiled, with automatic fallback)")
 		verbose    = flag.Bool("v", false, "print the full output distribution and the convergence trace")
 		draw       = flag.Bool("draw", false, "draw the first transition-operator circuit")
 		emitQASM   = flag.Bool("qasm", false, "print the first transition-operator circuit as OpenQASM 2.0")
@@ -69,9 +68,6 @@ func main() {
 	}
 	if *shots < 0 {
 		log.Fatalf("-shots must be >= 0 (got %d)", *shots)
-	}
-	if !rasengan.ValidEngine(*engine) {
-		log.Fatalf("-engine must be %q or %q (got %q)", rasengan.EngineMap, rasengan.EngineCompiled, *engine)
 	}
 	if *ckptEvery < 1 {
 		log.Fatalf("-checkpoint-every must be >= 1 (got %d)", *ckptEvery)
@@ -110,7 +106,6 @@ func main() {
 
 	opts := rasengan.SolveOptions{MaxIter: *iters, Seed: *seed}
 	opts.Exec.Shots = *shots
-	opts.Exec.Engine = *engine
 	if *resumeFile != "" {
 		// LoadCheckpoint resolves interrupted runs (live slot files) and
 		// cleanly closed ones (plain canonical file) alike.

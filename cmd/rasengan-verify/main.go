@@ -21,7 +21,6 @@ import (
 	"log"
 	"os"
 
-	"rasengan/internal/core"
 	"rasengan/internal/parallel"
 	"rasengan/internal/verify"
 )
@@ -41,7 +40,6 @@ func main() {
 		failFast   = flag.Bool("fail-fast", false, "stop at the first case with a failing check")
 		skip       = flag.Bool("skip-corners", false, "skip the fixed adversarial corner suite")
 		inject     = flag.Bool("inject-fault", false, "deliberately corrupt one amplitude per case; the run then MUST detect it (exit 0 on detection, 1 on a blind oracle)")
-		engine     = flag.String("engine", "", "engine for executor- and solve-level checks: map or compiled (the map-vs-compiled identity checks always run)")
 	)
 	wf := parallel.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -54,9 +52,6 @@ func main() {
 	if *maxScale < 1 || *maxScale > 4 {
 		log.Fatal("-max-scale must be in 1..4")
 	}
-	if !core.ValidEngine(*engine) {
-		log.Fatalf("-engine must be %q or %q (got %q)", core.EngineMap, core.EngineCompiled, *engine)
-	}
 
 	rep := verify.Run(verify.Config{
 		Cases:                *cases,
@@ -65,7 +60,6 @@ func main() {
 		SolveEvery:           *solveEvery,
 		SolveIters:           *iters,
 		Workers:              *altWorkers,
-		Engine:               *engine,
 		FailFast:             *failFast,
 		SkipCorners:          *skip,
 		InjectAmplitudeFault: *inject,

@@ -29,11 +29,6 @@ type Config struct {
 	VirtualNodes int
 	// Retry is the upstream retry/backoff policy (zero = defaults).
 	Retry RetryPolicy
-	// HedgeDelay, when positive, arms hedged polls: a GET /v1/jobs/{id}
-	// still waiting on the owner after this long fires a cache-probe at
-	// the next ring replica, and the first usable answer wins. 0
-	// disables hedging.
-	HedgeDelay time.Duration
 	// HealthInterval is the active /healthz probe period (default 1s).
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe (default: HealthInterval).
@@ -52,8 +47,8 @@ type Config struct {
 
 // Gateway is the cluster front end: it shards solve traffic across
 // backends on a consistent-hash ring keyed by canonical spec hash,
-// retries rejected calls under the policy, fails polls over when an
-// owner dies, and optionally hedges slow polls to the next replica.
+// retries rejected calls under the policy, and fails polls over when an
+// owner dies.
 type Gateway struct {
 	cfg      Config
 	ring     *Ring
@@ -65,8 +60,6 @@ type Gateway struct {
 	log      *slog.Logger
 
 	retriesTotal  metrics.Counter
-	hedgesTotal   metrics.Counter
-	hedgeWins     metrics.Counter
 	failoversExec metrics.Counter
 	failoversLost metrics.Counter
 	noBackend     metrics.Counter
@@ -116,8 +109,6 @@ func New(cfg Config) (*Gateway, error) {
 
 	r := g.reg
 	g.retriesTotal = r.Counter("rasengan_gateway_retries_total", "Upstream attempts retried under the backoff policy.")
-	g.hedgesTotal = r.Counter("rasengan_gateway_hedges_total", "Hedged polls fired at the next ring replica.")
-	g.hedgeWins = r.Counter("rasengan_gateway_hedge_wins_total", "Hedged polls answered by the replica before the owner.")
 	g.failoversExec = r.Counter("rasengan_gateway_failovers_total", "Jobs re-submitted to a replica after their owner became unreachable.")
 	g.failoversLost = r.Counter("rasengan_gateway_failover_unavailable_total", "Polls for jobs on a dead owner with no stashed request to fail over (answered 503).")
 	g.noBackend = r.Counter("rasengan_gateway_no_backend_total", "Requests rejected because no live backend was available.")
@@ -291,8 +282,8 @@ func specHashOf(raw json.RawMessage) (string, int, error) {
 	return h, 0, nil
 }
 
-// stashBody rebuilds a solve request suitable for failover re-submission
-// and hedging: identical spec/config/timeout (so the cache key matches on
+// stashBody rebuilds a solve request suitable for failover
+// re-submission: identical spec/config/timeout (so the cache key matches on
 // any node) with wait_ms stripped (polls must not block a failover hop).
 func stashBody(b solveBody) []byte {
 	out, err := json.Marshal(solveBody{Spec: b.Spec, Config: b.Config, TimeoutMS: b.TimeoutMS})
@@ -562,7 +553,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, err := g.pollOwner(r.Context(), owner, entry)
+	resp, err := g.forwardTo(r.Context(), owner, http.MethodGet, "/v1/jobs/"+entry.upstream, nil, true)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client gone; nothing to answer, nothing to fail over
@@ -584,139 +575,6 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	env.JobID = id
 	writeJSON(w, resp.StatusCode, env)
-}
-
-// pollOwner issues the upstream job GET, optionally racing it against a
-// hedge at the next ring replica once HedgeDelay elapses. The hedge is
-// a cache probe: the stashed solve request re-posted with no wait —
-// content addressing means a replica that has the payload answers an
-// identical-bytes result instantly, and one that does not just starts
-// (or coalesces onto) a speculative duplicate whose later polls hit its
-// cache. Only a terminal done answer wins the race; anything else is
-// discarded and the owner's response stands.
-func (g *Gateway) pollOwner(ctx context.Context, owner *Backend, entry jobEntry) (*http.Response, error) {
-	path := "/v1/jobs/" + entry.upstream
-	if g.cfg.HedgeDelay <= 0 || entry.request == nil || entry.specHash == "" {
-		return g.forwardTo(ctx, owner, http.MethodGet, path, nil, true)
-	}
-
-	type outcome struct {
-		resp *http.Response
-		err  error
-	}
-	// Primary and hedge each get their own cancel: the loser is cancelled
-	// immediately, the winner only when its body is closed (cancelling a
-	// request context kills its in-flight body read).
-	pctx, pcancel := context.WithCancel(ctx)
-	hctx, hcancel := context.WithCancel(ctx)
-	primary := make(chan outcome, 1)
-	go func() {
-		resp, err := g.forwardTo(pctx, owner, http.MethodGet, path, nil, true)
-		primary <- outcome{resp, err}
-	}()
-	winPrimary := func(o outcome) (*http.Response, error) {
-		hcancel()
-		if o.resp != nil {
-			o.resp.Body = cancelOnClose{o.resp.Body, pcancel}
-		} else {
-			pcancel()
-		}
-		return o.resp, o.err
-	}
-
-	timer := time.NewTimer(g.cfg.HedgeDelay)
-	defer timer.Stop()
-	select {
-	case o := <-primary:
-		return winPrimary(o)
-	case <-timer.C:
-	}
-
-	// Owner is slow: fire the hedge at the next live replica.
-	replicas := g.ring.Successors(entry.specHash, 2)
-	var target *Backend
-	for _, id := range replicas {
-		if id != owner.ID {
-			target = g.backends[id]
-			break
-		}
-	}
-	if target == nil {
-		hcancel()
-		return winPrimary(<-primary)
-	}
-	g.hedgesTotal.Inc()
-	hedge := make(chan *http.Response, 1)
-	go func() {
-		resp, err := g.upstreamDo(hctx, http.MethodPost, target.URL()+"/v1/solve", entry.request)
-		if err != nil {
-			hedge <- nil
-			return
-		}
-		if resp.StatusCode != http.StatusOK {
-			drainBody(resp)
-			hedge <- nil
-			return
-		}
-		hedge <- resp
-	}()
-
-	for {
-		select {
-		case o := <-primary:
-			go func() { // discard the hedge whenever it lands
-				if resp := <-hedge; resp != nil {
-					drainBody(resp)
-				}
-				hcancel()
-			}()
-			return winPrimary(o)
-		case resp := <-hedge:
-			if resp == nil {
-				hcancel()
-				continue // hedge lost; keep waiting for the owner
-			}
-			// Peek: only a terminal done answer may win (a 200 from
-			// POST /v1/solve with wait_ms=0 can still be a queued view).
-			env, err := decodeEnvelope(resp)
-			hcancel() // body fully consumed by the decode
-			if err != nil || env.Status != "done" {
-				continue
-			}
-			g.hedgeWins.Inc()
-			pcancel()
-			go func() {
-				if o := <-primary; o.resp != nil {
-					drainBody(o.resp)
-				}
-			}()
-			return rebuildResponse(resp.StatusCode, env), nil
-		}
-	}
-}
-
-// cancelOnClose releases the winner's request context once its body is
-// fully consumed and closed.
-type cancelOnClose struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c cancelOnClose) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
-}
-
-// rebuildResponse wraps an already-decoded envelope back into an
-// *http.Response so the hedge path slots into the normal decode flow.
-func rebuildResponse(code int, env solveEnvelope) *http.Response {
-	body, _ := json.Marshal(env)
-	return &http.Response{
-		StatusCode: code,
-		Header:     http.Header{"Content-Type": []string{"application/json"}},
-		Body:       io.NopCloser(bytes.NewReader(body)),
-	}
 }
 
 // failoverPoll answers a poll whose owner is unreachable. With a

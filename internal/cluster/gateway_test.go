@@ -3,7 +3,7 @@ package cluster_test
 // The multi-node gateway tests from the issue's headline deliverable:
 // payload identity across serving nodes, cache affinity, batch
 // sharding, failover mid-solve, the no-stash 503 path, SSE continuity
-// through the proxy, draining ejection, hedged polls, and journal
+// through the proxy, draining ejection, slow-owner polls, and journal
 // replay after a node restart. All in-process, all -race-clean.
 
 import (
@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,31 +392,37 @@ func TestClusterRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestClusterHedgedPoll: with the owner slow to answer job polls and
-// the next replica holding the payload in cache, a hedged poll beats
-// the owner and returns the replica's byte-identical answer under the
-// original job id.
-func TestClusterHedgedPoll(t *testing.T) {
+// TestClusterSlowOwnerPoll: with the owner slow to answer job polls and
+// the next replica holding the payload in cache, a poll through the
+// gateway waits for the owner and returns the owner's own view under the
+// original job id. The replica sees no request while the poll is in
+// flight, so a slow owner never starts a speculative duplicate solve.
+func TestClusterSlowOwnerPoll(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 
-	// n1: solves blocked, and job GETs delayed at the HTTP layer so the
-	// hedge timer always fires first.
+	// n1: solves blocked, and job GETs delayed at the HTTP layer.
+	const ownerDelay = 300 * time.Millisecond
 	n1 := service.New(service.Config{Solve: stubNodeSolve(block)})
 	defer n1.Close()
 	n1Handler := n1.Handler()
 	slowN1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
-			time.Sleep(300 * time.Millisecond)
+			time.Sleep(ownerDelay)
 		}
 		n1Handler.ServeHTTP(w, r)
 	}))
 	defer slowN1.Close()
 
-	// n2: fast, unblocked.
+	// n2: fast, unblocked, and counting every request it receives.
 	n2 := service.New(service.Config{Solve: stubNodeSolve(nil)})
 	defer n2.Close()
-	n2TS := httptest.NewServer(n2.Handler())
+	n2Handler := n2.Handler()
+	var n2Requests atomic.Int64
+	n2TS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n2Requests.Add(1)
+		n2Handler.ServeHTTP(w, r)
+	}))
 	defer n2TS.Close()
 
 	gw, err := cluster.New(cluster.Config{
@@ -425,7 +432,6 @@ func TestClusterHedgedPoll(t *testing.T) {
 		},
 		Seed:           1,
 		Retry:          fastRetry(),
-		HedgeDelay:     10 * time.Millisecond,
 		HealthInterval: time.Hour,
 	})
 	if err != nil {
@@ -461,33 +467,41 @@ func TestClusterHedgedPoll(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Poll: the owner sits on the request for 300ms; the hedge fires at
-	// 10ms and n2's cache answers done.
+	// Poll: the owner sits on the request for ownerDelay and then answers
+	// with its own (still unfinished) view.
+	before := n2Requests.Load()
 	start := time.Now()
 	resp, err = client.Get(gwTS.URL + "/v1/jobs/" + sub.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var hedged solveView
-	if err := json.NewDecoder(resp.Body).Decode(&hedged); err != nil {
+	var polled solveView
+	if err := json.NewDecoder(resp.Body).Decode(&polled); err != nil {
 		t.Fatal(err)
 	}
-	if hedged.Status != "done" {
-		t.Fatalf("hedged poll: status=%q (elapsed %v), want the replica's done", hedged.Status, time.Since(start))
+	elapsed := time.Since(start)
+	if got := n2Requests.Load() - before; got != 0 {
+		t.Fatalf("replica n2 received %d requests during the poll, want 0 (speculative duplicate)", got)
 	}
-	if hedged.JobID != sub.JobID {
-		t.Fatalf("hedged answer under id %q, want the original %q", hedged.JobID, sub.JobID)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("poll: code=%d, want n1's 202 for an unfinished job", resp.StatusCode)
 	}
-	if !bytes.Equal(hedged.Result, seeded.Result) {
-		t.Fatalf("hedged payload differs from the replica's cached payload")
+	if polled.JobID != sub.JobID {
+		t.Fatalf("poll answered under id %q, want the original %q", polled.JobID, sub.JobID)
 	}
-	if got := metricValue(t, client, gwTS.URL, "rasengan_gateway_hedge_wins_total"); got < 1 {
-		t.Errorf("rasengan_gateway_hedge_wins_total = %g, want >= 1", got)
+	if polled.Status == "done" || len(polled.Result) != 0 {
+		t.Fatalf("poll: status=%q with %d result bytes, want n1's unfinished view", polled.Status, len(polled.Result))
+	}
+	if elapsed < ownerDelay {
+		t.Fatalf("poll answered after %v, before the owner's %v delay", elapsed, ownerDelay)
+	}
+	if got := metricValue(t, client, gwTS.URL, "rasengan_gateway_failovers_total"); got != 0 {
+		t.Errorf("rasengan_gateway_failovers_total = %g, want 0 for a slow but live owner", got)
 	}
 }
 
-// TestClusterRejectionPassthrough: when every backend is gone the
+// TestClusterNoBackendRejection: when every backend is gone the
 // gateway answers a retryable 503 with Retry-After on the solve path —
 // the no-backend case is a clean rejection, not an error page or hang.
 func TestClusterNoBackendRejection(t *testing.T) {

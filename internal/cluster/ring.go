@@ -159,7 +159,7 @@ func (r *Ring) Lookup(key string) (backend string, ok bool) {
 
 // Successors returns up to n distinct live backends in ring order
 // starting at the key's owner — index 0 is the owner, index 1 the next
-// replica (the hedge and failover target), and so on. Ejected backends
+// replica (the failover target), and so on. Ejected backends
 // never appear.
 func (r *Ring) Successors(key string, n int) []string {
 	r.mu.RLock()

@@ -98,7 +98,7 @@ func benchOptimizerIter(b *testing.B, p *problems.Problem, engine string) {
 		b.Fatal(err)
 	}
 	sched := BuildSchedule(p, basis, ScheduleOptions{})
-	exec, err := NewExecutor(p, sched.Ops, ExecOptions{Engine: engine})
+	exec, err := NewExecutor(p, sched.Ops, ExecOptions{ForceMapEngine: engine == EngineMap})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,16 +13,17 @@ import (
 	"rasengan/internal/transpile"
 )
 
-// Engine names selectable through ExecOptions.Engine. Both engines perform
-// the same pairing arithmetic in the same order (including the amplitude
-// prune), so results — distributions, samples, energies — are bit-identical
-// on their shared domain; the choice is a pure performance knob and is
-// therefore excluded from the canonical options fingerprint, like the worker
-// count.
+// Engine names reported by Executor.EngineUsed and the per-segment span
+// attribute. Both engines perform the same pairing arithmetic in the same
+// order (including the amplitude prune), so results — distributions,
+// samples, energies — are bit-identical on their shared domain; which one
+// runs is a pure performance matter and never enters the canonical options
+// fingerprint.
 const (
 	// EngineMap is the map-based Sparse simulator: no compile step, no
 	// subspace size limit, and the only engine that supports noisy devices
 	// (noise channels can scatter a state outside the compiled closure).
+	// ExecOptions.ForceMapEngine selects it unconditionally.
 	EngineMap = "map"
 	// EngineCompiled enumerates the reachable feasible subspace once at
 	// executor construction and runs flat-array transition kernels with
@@ -31,12 +32,6 @@ const (
 	// exceeds the compile budget (see Executor.EngineFallbackReason).
 	EngineCompiled = "compiled"
 )
-
-// ValidEngine reports whether name selects a known engine ("" = default).
-// CLIs and services use it to reject typos before a solve starts.
-func ValidEngine(name string) bool {
-	return name == "" || name == EngineMap || name == EngineCompiled
-}
 
 // compiledPlan is the executor-wide compile artifact of the compiled engine:
 // the enumerated subspace plus flat per-state feasibility and

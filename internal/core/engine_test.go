@@ -12,18 +12,17 @@ import (
 )
 
 // enginePair builds two executors over the same problem and schedule that
-// differ only in the Engine option.
+// differ only in ForceMapEngine.
 func enginePair(t *testing.T, p *problems.Problem, opts ExecOptions) (mapEx, compEx *Executor) {
 	t.Helper()
 	ops := mustBasisAndSchedule(t, p)
-	mo, co := opts, opts
-	mo.Engine = EngineMap
-	co.Engine = EngineCompiled
+	mo := opts
+	mo.ForceMapEngine = true
 	var err error
 	if mapEx, err = NewExecutor(p, ops, mo); err != nil {
 		t.Fatal(err)
 	}
-	if compEx, err = NewExecutor(p, ops, co); err != nil {
+	if compEx, err = NewExecutor(p, ops, opts); err != nil {
 		t.Fatal(err)
 	}
 	if mapEx.EngineUsed != EngineMap {
@@ -159,23 +158,26 @@ func TestCompiledFallsBackOnNoisyDevice(t *testing.T) {
 	if ex2.EngineUsed != EngineCompiled {
 		t.Fatalf("noiseless device fell back to %q: %s", ex2.EngineUsed, ex2.EngineFallbackReason)
 	}
-}
-
-// TestUnknownEngineRejected: a typo'd engine name is a construction-time
-// error, not a silent default.
-func TestUnknownEngineRejected(t *testing.T) {
-	p := problems.FLP(1, 0)
-	ops := mustBasisAndSchedule(t, p)
-	if _, err := NewExecutor(p, ops, ExecOptions{Engine: "dense"}); err == nil {
-		t.Fatal("unknown engine accepted")
+	// ForceMapEngine on a noise-free executor runs the map engine by
+	// request, not as a fallback: this is the path the verify oracle takes.
+	ex3, err := NewExecutor(p, ops, ExecOptions{Device: device.Noiseless(p.N), Shots: 64, ForceMapEngine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex3.EngineUsed != EngineMap {
+		t.Fatalf("ForceMapEngine ran engine %q", ex3.EngineUsed)
+	}
+	if ex3.EngineFallbackReason != "" {
+		t.Fatalf("ForceMapEngine recorded a fallback reason: %s", ex3.EngineFallbackReason)
 	}
 }
 
-// TestEngineExcludedFromFingerprint: both engines are bit-identical, so the
-// engine choice must not split the result cache, mirroring worker count.
+// TestEngineExcludedFromFingerprint: both engines are bit-identical, so
+// forcing the map engine must not split the result cache, mirroring worker
+// count.
 func TestEngineExcludedFromFingerprint(t *testing.T) {
-	a := Options{Exec: ExecOptions{Engine: EngineMap}}
-	b := Options{Exec: ExecOptions{Engine: EngineCompiled}}
+	a := Options{Exec: ExecOptions{ForceMapEngine: true}}
+	b := Options{Exec: ExecOptions{}}
 	ja := CanonicalOptionsJSON(a)
 	jb := CanonicalOptionsJSON(b)
 	if string(ja) != string(jb) {

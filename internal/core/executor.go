@@ -47,15 +47,15 @@ type ExecOptions struct {
 	ShotGrowth float64
 	// MaxShotsPerSegment caps the growth (default 65536).
 	MaxShotsPerSegment int
-	// Engine selects the transition-simulation backend: EngineCompiled
-	// (the default when empty) enumerates the reachable feasible subspace
-	// once at construction and runs flat-array kernels, falling back to
-	// the map engine when a noisy device is attached or the subspace
-	// exceeds the compile budget; EngineMap forces the map-based Sparse
-	// simulator unconditionally. The engines are bit-identical on their
-	// shared domain, so Engine — like the worker count — is excluded from
-	// CanonicalOptionsJSON and never affects results or cache keys.
-	Engine string
+	// ForceMapEngine skips the compiled engine and runs the map-based
+	// Sparse simulator unconditionally. Without it the executor compiles
+	// the reachable feasible subspace and falls back to the map engine
+	// only when a noisy device is attached or the subspace exceeds the
+	// compile budget. The engines are bit-identical on their shared
+	// domain, so the field is excluded from CanonicalOptionsJSON; it exists
+	// for the verification oracle and engine tests/benchmarks, which
+	// compare the two paths.
+	ForceMapEngine bool
 }
 
 func (o ExecOptions) depthBudget() int {
@@ -197,9 +197,6 @@ func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Exec
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("core: empty schedule for %s", p.Name)
 	}
-	if !ValidEngine(opts.Engine) {
-		return nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", opts.Engine, EngineMap, EngineCompiled)
-	}
 	e := &Executor{p: p, ops: ops, opts: opts, EngineUsed: EngineMap}
 
 	// Compile each distinct operator once (structure is t-independent).
@@ -264,7 +261,7 @@ func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Exec
 		}
 		e.SegmentDepths = append(e.SegmentDepths, d)
 	}
-	if opts.Engine != EngineMap {
+	if !opts.ForceMapEngine {
 		e.compileEngine()
 	}
 	return e, nil

@@ -99,7 +99,6 @@ func Budget(cfg Config) (*BudgetResult, error) {
 			opts.Exec.Shots = 256
 			opts.Exec.Device = device.Quebec()
 			opts.Exec.Trajectories = cfg.Trajectories
-			opts.Exec.Engine = cfg.Engine
 			jobs = append(jobs, budgetJob{label: "F1", caseIdx: caseIdx, p: p, opts: opts})
 		}
 	}

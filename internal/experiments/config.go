@@ -40,11 +40,7 @@ type Config struct {
 	MaxDenseQubits int
 	// Trajectories per noisy execution (default 8).
 	Trajectories int
-	// Engine selects the Rasengan execution engine (core.EngineMap or
-	// core.EngineCompiled); empty uses the core default. Both engines are
-	// bit-identical, so this only changes wall-clock time.
-	Engine string
-	Seed   int64
+	Seed         int64
 	// Full restores paper-scale parameters where feasible.
 	Full bool
 	// Workers bounds concurrent case evaluations in the sweep-style
@@ -190,7 +186,6 @@ func runAlgorithm(algo string, p *problems.Problem, ref problems.Reference, cfg 
 				Shots:        cfg.Shots,
 				Device:       dev,
 				Trajectories: cfg.Trajectories,
-				Engine:       cfg.Engine,
 			},
 			Telemetry: cfg.telemetry(),
 		}))

@@ -95,7 +95,7 @@ func Fig10(cfg Config, maxPoints int) (*Fig10Result, error) {
 			MaxIter:   cfg.MaxIter,
 			Seed:      cfg.Seed,
 			Schedule:  core.ScheduleOptions{MaxTrackedStates: 20000},
-			Exec:      core.ExecOptions{Shots: shots, Engine: cfg.Engine},
+			Exec:      core.ExecOptions{Shots: shots},
 			Telemetry: cfg.telemetry(),
 		}))
 		if err != nil {
@@ -109,7 +109,7 @@ func Fig10(cfg Config, maxPoints int) (*Fig10Result, error) {
 			MaxIter:   cfg.MaxIter / 2,
 			Seed:      cfg.Seed + 1,
 			Schedule:  core.ScheduleOptions{MaxTrackedStates: 20000},
-			Exec:      core.ExecOptions{Shots: shots, Device: quebec, Trajectories: cfg.Trajectories, Engine: cfg.Engine},
+			Exec:      core.ExecOptions{Shots: shots, Device: quebec, Trajectories: cfg.Trajectories},
 			Telemetry: cfg.telemetry(),
 		}))
 		if err != nil {

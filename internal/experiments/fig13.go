@@ -53,7 +53,6 @@ func Fig13(cfg Config) (*Fig13Result, error) {
 				OpsPerSegment: ops,
 				Device:        dev,
 				Trajectories:  cfg.Trajectories,
-				Engine:        cfg.Engine,
 			},
 			Telemetry: cfg.telemetry(),
 		}))

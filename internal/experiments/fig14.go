@@ -123,7 +123,7 @@ func fig14Sweep(cfg Config, cases []*problems.Problem, dev *device.Device, seedO
 		res, err := core.Solve(cfg.ctx(), p, cfg.persistence(p, core.Options{
 			MaxIter:   cfg.MaxIter,
 			Seed:      cfg.Seed + seedOffset + int64(i),
-			Exec:      core.ExecOptions{Shots: cfg.Shots, Device: dev, Trajectories: cfg.Trajectories, Engine: cfg.Engine},
+			Exec:      core.ExecOptions{Shots: cfg.Shots, Device: dev, Trajectories: cfg.Trajectories},
 			Telemetry: cfg.telemetry(),
 		}))
 		if err != nil {

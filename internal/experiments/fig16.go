@@ -91,7 +91,6 @@ func Fig16(cfg Config) (*Fig16Result, error) {
 							Trajectories:        cfg.Trajectories,
 							DisableSegmentation: !variant.Segment,
 							DisablePurify:       !variant.Purify,
-							Engine:              cfg.Engine,
 						},
 						Telemetry: cfg.telemetry(),
 					}))

@@ -40,7 +40,7 @@ func Fig9(cfg Config, maxLayers int) (*Fig9Result, error) {
 		return nil, err
 	}
 	out := &Fig9Result{}
-	res, err := core.Solve(cfg.ctx(), p, cfg.persistence(p, core.Options{MaxIter: cfg.MaxIter, Seed: cfg.Seed, Exec: core.ExecOptions{Shots: cfg.Shots, Engine: cfg.Engine}, Telemetry: cfg.telemetry()}))
+	res, err := core.Solve(cfg.ctx(), p, cfg.persistence(p, core.Options{MaxIter: cfg.MaxIter, Seed: cfg.Seed, Exec: core.ExecOptions{Shots: cfg.Shots}, Telemetry: cfg.telemetry()}))
 	if err != nil {
 		return nil, err
 	}

@@ -76,7 +76,7 @@ func Gallery(cfg Config, label string) (*GalleryResult, error) {
 	addBaseline("grover-adaptive", r, err)
 	addBaseline("simulated-annealing", baselines.SimulatedAnnealing(p, 300, opts), nil)
 
-	res, err := core.Solve(cfg.ctx(), p, cfg.persistence(p, core.Options{MaxIter: cfg.MaxIter, Seed: cfg.Seed, Exec: core.ExecOptions{Shots: cfg.Shots, Engine: cfg.Engine}, Telemetry: cfg.telemetry()}))
+	res, err := core.Solve(cfg.ctx(), p, cfg.persistence(p, core.Options{MaxIter: cfg.MaxIter, Seed: cfg.Seed, Exec: core.ExecOptions{Shots: cfg.Shots}, Telemetry: cfg.telemetry()}))
 	row := GalleryRow{Solver: "rasengan", Err: err}
 	if err == nil {
 		row.ARG = metrics.ARG(ref.Opt, res.Expectation)

@@ -79,7 +79,6 @@ func Obs(cfg Config) (*ObsResult, error) {
 		opts.Exec.Shots = 512
 		opts.Exec.Device = device.Quebec()
 		opts.Exec.Trajectories = cfg.Trajectories
-		opts.Exec.Engine = cfg.Engine
 
 		// Warm once (schedule caches, allocator), then take the best of
 		// three alternating runs per mode so background noise cannot bias

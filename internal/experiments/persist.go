@@ -86,7 +86,6 @@ func Persist(cfg Config) (*PersistResult, error) {
 		opts.Exec.Shots = 512
 		opts.Exec.Device = device.Quebec()
 		opts.Exec.Trajectories = cfg.Trajectories
-		opts.Exec.Engine = cfg.Engine
 
 		// Warm once (schedule caches, allocator), then take the best of
 		// three alternating runs per mode so background noise cannot bias

@@ -24,11 +24,7 @@ func TestWorkersFlag(t *testing.T) {
 	}{
 		{nil, 0, false},
 		{[]string{"-workers", "4"}, 4, false},
-		{[]string{"-parallel", "3"}, 3, false},
-		{[]string{"-workers", "4", "-parallel", "4"}, 4, false},
 		{[]string{"-workers", "-1"}, 0, true},
-		{[]string{"-parallel", "-2"}, 0, true},
-		{[]string{"-workers", "4", "-parallel", "2"}, 0, true},
 	}
 	for _, tc := range cases {
 		got, err := applyArgs(t, tc.args...)

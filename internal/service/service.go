@@ -81,11 +81,6 @@ type Config struct {
 	// WarmStartCapacity bounds the warm-start parameter store (default
 	// 4096 vectors; only meaningful with DataDir set).
 	WarmStartCapacity int
-	// Engine is the server-wide execution engine (core.EngineMap or
-	// core.EngineCompiled; empty = core default) applied to every solve.
-	// It is deliberately not part of the request schema or the cache key:
-	// the engines are bit-identical, so one cached payload serves both.
-	Engine string
 	// Logger receives structured job-lifecycle records (accepted, running,
 	// done/failed/cancelled) with job_id/spec_hash/stage fields. Nil
 	// discards them; the serving binary passes a JSON handler.
@@ -442,7 +437,6 @@ type solveConfig struct {
 
 func (s *Server) buildOptions(c solveConfig) (core.Options, error) {
 	var opts core.Options
-	opts.Exec.Engine = s.cfg.Engine
 	opts.Seed = c.Seed
 	if c.MaxIter < 0 || c.MaxIter > s.cfg.MaxIter {
 		return opts, fmt.Errorf("max_iter %d out of range [0,%d]", c.MaxIter, s.cfg.MaxIter)

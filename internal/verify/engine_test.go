@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"rasengan/internal/core"
@@ -48,53 +49,51 @@ func TestCompiledEngineAcrossFamilies(t *testing.T) {
 		}
 
 		// Sampled executor path: same seed, identical distributions.
-		for _, engines := range [][2]string{{core.EngineMap, core.EngineCompiled}} {
-			var dists [2]map[string]float64
-			for k, eng := range engines {
-				ex, err := core.NewExecutor(p, ops, core.ExecOptions{Engine: eng, Shots: 512})
-				if err != nil {
-					t.Fatalf("%s/%s: NewExecutor: %v", fam, eng, err)
-				}
-				d, err := ex.Run(times, rand.New(rand.NewSource(7)))
-				if err != nil {
-					t.Fatalf("%s/%s: sampled run: %v", fam, eng, err)
-				}
-				dists[k] = map[string]float64{}
-				for x, v := range d {
-					dists[k][x.String()] = v
-				}
+		var dists [2]map[string]float64
+		for k, forceMap := range []bool{true, false} {
+			ex, err := core.NewExecutor(p, ops, core.ExecOptions{ForceMapEngine: forceMap, Shots: 512})
+			if err != nil {
+				t.Fatalf("%s/map=%v: NewExecutor: %v", fam, forceMap, err)
 			}
-			if len(dists[0]) != len(dists[1]) {
-				t.Fatalf("%s: sampled support %d (map) vs %d (compiled)", fam, len(dists[0]), len(dists[1]))
+			d, err := ex.Run(times, rand.New(rand.NewSource(7)))
+			if err != nil {
+				t.Fatalf("%s/%s: sampled run: %v", fam, ex.EngineUsed, err)
 			}
-			for x, v := range dists[0] {
-				if dists[1][x] != v {
-					t.Fatalf("%s: sampled dist at %s: map %v vs compiled %v", fam, x, v, dists[1][x])
-				}
+			dists[k] = map[string]float64{}
+			for x, v := range d {
+				dists[k][x.String()] = v
+			}
+		}
+		if len(dists[0]) != len(dists[1]) {
+			t.Fatalf("%s: sampled support %d (map) vs %d (compiled)", fam, len(dists[0]), len(dists[1]))
+		}
+		for x, v := range dists[0] {
+			if dists[1][x] != v {
+				t.Fatalf("%s: sampled dist at %s: map %v vs compiled %v", fam, x, v, dists[1][x])
 			}
 		}
 
 		// Solve-level payload identity, including workers=1 vs N on the
 		// compiled engine.
-		payload := func(engine string, workers int) []byte {
+		payload := func(forceMap bool, workers int) []byte {
 			prev := parallel.Workers()
 			parallel.SetWorkers(workers)
 			defer parallel.SetWorkers(prev)
 			opts := core.Options{MaxIter: 12, Seed: 3}
-			opts.Exec.Engine = engine
+			opts.Exec.ForceMapEngine = forceMap
 			res, err := core.Solve(context.Background(), p, opts)
 			if err != nil {
-				t.Fatalf("%s/%s: solve: %v", fam, engine, err)
+				t.Fatalf("%s/map=%v: solve: %v", fam, forceMap, err)
 			}
 			pay, err := service.MarshalResultPayload(p, res)
 			if err != nil {
-				t.Fatalf("%s/%s: marshal: %v", fam, engine, err)
+				t.Fatalf("%s/map=%v: marshal: %v", fam, forceMap, err)
 			}
 			return pay
 		}
-		payMap := payload(core.EngineMap, 1)
-		payComp1 := payload(core.EngineCompiled, 1)
-		payCompN := payload(core.EngineCompiled, 8)
+		payMap := payload(true, 1)
+		payComp1 := payload(false, 1)
+		payCompN := payload(false, 8)
 		if !bytes.Equal(payMap, payComp1) {
 			t.Fatalf("%s: map and compiled solve payloads differ", fam)
 		}
@@ -110,26 +109,25 @@ func TestCompiledEngineAcrossFamilies(t *testing.T) {
 // the cooperative cancellation points.
 func TestCompiledEngineCancellationMidIteration(t *testing.T) {
 	p := problems.Benchmark{Family: problems.Families[0], Scale: 1}.Generate(0)
-	for _, engine := range []string{core.EngineMap, core.EngineCompiled} {
+	for _, forceMap := range []bool{true, false} {
 		ctx, cancel := context.WithCancel(context.Background())
-		evals := 0
+		// Multi-starts evaluate concurrently, so the hook's counter is atomic.
+		var evals atomic.Int32
 		core.SetFaultHook(func(stage string) {
-			if stage == core.FaultIteration {
-				if evals++; evals == 5 {
-					cancel()
-				}
+			if stage == core.FaultIteration && evals.Add(1) == 5 {
+				cancel()
 			}
 		})
 		opts := core.Options{MaxIter: 500, Seed: 1}
-		opts.Exec.Engine = engine
+		opts.Exec.ForceMapEngine = forceMap
 		res, err := core.Solve(ctx, p, opts)
 		core.SetFaultHook(nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", engine, err)
+			t.Fatalf("map=%v: err = %v, want context.Canceled", forceMap, err)
 		}
 		if res != nil {
-			t.Fatalf("%s: cancelled solve returned a result", engine)
+			t.Fatalf("map=%v: cancelled solve returned a result", forceMap)
 		}
 	}
 }

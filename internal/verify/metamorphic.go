@@ -280,7 +280,6 @@ func (cr *caseRunner) specCanonicalCheck() {
 func (cr *caseRunner) solveChecks() {
 	p := cr.tc.p
 	opts := core.Options{MaxIter: cr.cfg.SolveIters, Seed: 1}
-	opts.Exec.Engine = cr.cfg.Engine
 	prev := parallel.Workers()
 	defer parallel.SetWorkers(prev)
 
@@ -307,11 +306,10 @@ func (cr *caseRunner) solveChecks() {
 
 	// Engine identity: the two engines are bit-compatible, so a full solve
 	// must serialize to byte-identical wire payloads under either one.
-	mo, co := opts, opts
-	mo.Exec.Engine = core.EngineMap
-	co.Exec.Engine = core.EngineCompiled
+	mo := opts
+	mo.Exec.ForceMapEngine = true
 	payM, errM := solvePayload(p, mo)
-	payC, errC := solvePayload(p, co)
+	payC, errC := solvePayload(p, opts)
 	okEng := errM == nil && errC == nil && bytes.Equal(payM, payC)
 	cr.checkf("engine_payload_identity", okEng, 0,
 		"map and compiled engines produced different solve payloads (%v / %v)", errM, errC)

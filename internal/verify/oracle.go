@@ -210,8 +210,8 @@ func (cr *caseRunner) compiledDiffCheck(sp *quantum.Sparse, ops []core.Transitio
 // purification, and normalization on top of raw evolution.
 func (cr *caseRunner) engineEquivalenceCheck(ops []core.Transition, times []float64) {
 	p := cr.tc.p
-	mapEx, errM := core.NewExecutor(p, ops, core.ExecOptions{Engine: core.EngineMap})
-	compEx, errC := core.NewExecutor(p, ops, core.ExecOptions{Engine: core.EngineCompiled})
+	mapEx, errM := core.NewExecutor(p, ops, core.ExecOptions{ForceMapEngine: true})
+	compEx, errC := core.NewExecutor(p, ops, core.ExecOptions{})
 	if errM != nil || errC != nil {
 		cr.checkf("engine_distribution_identity", false, 0,
 			"executor construction failed: %v / %v", errM, errC)
@@ -349,7 +349,7 @@ func (cr *caseRunner) energyBoundChecks(ops []core.Transition, times []float64) 
 	if cr.ref == nil {
 		return
 	}
-	exec, err := core.NewExecutor(p, ops, core.ExecOptions{Engine: cr.cfg.Engine})
+	exec, err := core.NewExecutor(p, ops, core.ExecOptions{})
 	if err != nil {
 		cr.checkf("energy_executor", false, 0, "executor construction failed: %v", err)
 		return

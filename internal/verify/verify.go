@@ -131,11 +131,6 @@ type Config struct {
 	// Workers is the alternate worker count of the determinism check
 	// (default 8).
 	Workers int
-	// Engine selects the execution engine (core.EngineMap or
-	// core.EngineCompiled) used by the executor- and solve-level checks;
-	// empty means the core default. The differential compiled-engine rung
-	// and the map-vs-compiled identity checks always run regardless.
-	Engine string
 	// FailFast stops at the first case with a failing check.
 	FailFast bool
 	// SkipCorners drops the fixed adversarial corner suite.

@@ -63,21 +63,8 @@ type SolveOptions = core.Options
 type Result = core.Result
 
 // ExecOptions configures segmented execution (shots, segmentation,
-// purification, device noise, engine selection).
+// purification, device noise).
 type ExecOptions = core.ExecOptions
-
-// Execution engines selectable via ExecOptions.Engine. Both are
-// bit-identical; EngineCompiled (the default) precompiles the reachable
-// feasible subspace into flat-array kernels, EngineMap is the map-based
-// simulator that also handles noisy devices and unbounded subspaces.
-const (
-	EngineMap      = core.EngineMap
-	EngineCompiled = core.EngineCompiled
-)
-
-// ValidEngine reports whether name is a known engine name ("" selects the
-// default).
-func ValidEngine(name string) bool { return core.ValidEngine(name) }
 
 // BasisOptions configures homogeneous-basis construction (Algorithm 1
 // simplification, ternary kernel search budgets).
