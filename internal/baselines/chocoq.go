@@ -106,8 +106,9 @@ func ChocoQ(p *problems.Problem, opts Options) (*Result, error) {
 			if n == 0 {
 				continue
 			}
-			st := run()
-			for x, c := range st.Sample(rng, n) {
+			sampled := run().Sample(rng, n)
+			for _, x := range sortedStates(sampled) {
+				c := sampled[x]
 				if withNoise && opts.Device.Noise.ReadoutError > 0 {
 					for k := 0; k < c; k++ {
 						counts[opts.Device.Noise.ApplyReadout(x, rng)]++
@@ -128,8 +129,8 @@ func ChocoQ(p *problems.Problem, opts Options) (*Result, error) {
 		quantumMS += float64(shotsPerEval) * shotNS / 1e6
 		classicalMS += classicalEvalMS(len(dist), len(p.Obj.Quad), classicalBase)
 		e := 0.0
-		for x, pr := range dist {
-			e += pr * p.ScoreMin(x)
+		for _, x := range sortedStates(dist) {
+			e += dist[x] * p.ScoreMin(x)
 		}
 		return e
 	}

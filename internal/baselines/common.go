@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"rasengan/internal/bitvec"
 	"rasengan/internal/device"
@@ -124,7 +125,8 @@ func summarizeDistribution(res *Result, p *problems.Problem, dist map[bitvec.Vec
 	res.Expectation = 0
 	res.InConstraintsRate = 0
 	bestSet := false
-	for x, pr := range dist {
+	for _, x := range sortedStates(dist) {
+		pr := dist[x]
 		f := p.Objective(x)
 		res.RawExpectation += pr * f
 		feas := p.Feasible(x)
@@ -161,6 +163,18 @@ func summarizeDistribution(res *Result, p *problems.Problem, dist map[bitvec.Vec
 			bestSet = true
 		}
 	}
+}
+
+// sortedStates returns the states of dist in ascending bitvec.Compare
+// order: reductions over a distribution run in this order, never in map
+// order, so their floats (and rng draws) repeat run to run.
+func sortedStates[V any](dist map[bitvec.Vec]V) []bitvec.Vec {
+	out := make([]bitvec.Vec, 0, len(dist))
+	for x := range dist {
+		out = append(out, x)
+	}
+	slices.SortFunc(out, bitvec.Vec.Compare)
+	return out
 }
 
 // distFromDense converts a dense state to a distribution map, dropping

@@ -79,8 +79,8 @@ func HEA(p *problems.Problem, opts Options) (*Result, error) {
 		quantumMS += float64(shotsPerEval) * shotNS / 1e6
 		classicalMS += classicalEvalMS(len(dist), len(qubo.Quad), classicalBase)
 		e := 0.0
-		for x, pr := range dist {
-			e += pr * table[x.Uint64()]
+		for _, x := range sortedStates(dist) {
+			e += dist[x] * table[x.Uint64()]
 		}
 		return e
 	}

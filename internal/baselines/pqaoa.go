@@ -140,8 +140,8 @@ func runQAOA(inst *qaoaInstance, name string, opts Options, initParams []float64
 		}
 		classicalMS += classicalEvalMS(len(dist), len(inst.qubo.Quad), classicalBase)
 		e := 0.0
-		for x, pr := range dist {
-			e += pr * inst.qubo.Eval(x)
+		for _, x := range sortedStates(dist) {
+			e += dist[x] * inst.qubo.Eval(x)
 		}
 		return e
 	}
@@ -179,8 +179,8 @@ func liftDistribution(dist map[bitvec.Vec]float64, frozen *frozenMapping) map[bi
 		return dist
 	}
 	out := make(map[bitvec.Vec]float64, len(dist))
-	for x, pr := range dist {
-		out[frozen.lift(x)] += pr
+	for _, x := range sortedStates(dist) {
+		out[frozen.lift(x)] += dist[x]
 	}
 	return out
 }

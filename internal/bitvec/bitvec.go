@@ -255,13 +255,13 @@ func (v Vec) Compare(o Vec) int {
 		}
 		return 1
 	}
-	for i := 0; i < v.n; i++ {
-		a, b := v.Bit(i), o.Bit(i)
-		if a != b {
-			if b {
-				return -1
+	// The lowest differing bit decides; bits at or past n are always 0.
+	for i := range v.w {
+		if d := v.w[i] ^ o.w[i]; d != 0 {
+			if v.w[i]&(d&-d) != 0 {
+				return 1
 			}
-			return 1
+			return -1
 		}
 	}
 	return 0

@@ -175,6 +175,39 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareMatchesBitOrder: the word-wise Compare orders equal-length
+// vectors exactly like a scan from bit 0, where the first differing bit
+// decides and a set bit sorts later.
+func TestCompareMatchesBitOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ref := func(a, b Vec) int {
+		for i := 0; i < a.Len(); i++ {
+			if a.Bit(i) != b.Bit(i) {
+				if b.Bit(i) {
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(MaxBits)
+		a, b := New(n), New(n)
+		for i := 0; i < n; i++ {
+			a.Set(i, rng.Intn(2) == 1)
+			b.Set(i, rng.Intn(2) == 1)
+		}
+		if trial%3 == 0 {
+			b = a
+			b.Flip(rng.Intn(n)) // differ in exactly one bit
+		}
+		if got, want := a.Compare(b), ref(a, b); got != want {
+			t.Fatalf("n=%d %v vs %v: Compare = %d, want %d", n, a, b, got, want)
+		}
+	}
+}
+
 func TestMapKeySemantics(t *testing.T) {
 	m := map[Vec]int{}
 	a := MustFromString("0101")

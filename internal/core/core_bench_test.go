@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rasengan/internal/device"
 	"rasengan/internal/problems"
 )
 
@@ -93,12 +94,26 @@ func BenchmarkOperatorCircuitEmission(b *testing.B) {
 // engine. This is the loop body the compiled engine exists to accelerate;
 // BENCH_PR6.json records map-vs-compiled ratios on the medium cells below.
 func benchOptimizerIter(b *testing.B, p *problems.Problem, engine string) {
+	benchRunEnergy(b, p, engine, ExecOptions{}, false)
+}
+
+// benchNoisyIter is benchOptimizerIter on the Quebec noise model at 512
+// shots: trajectories, noise channels, sampling and readout error. A
+// warm-up evaluation fills the compiled engine's excursion memo first.
+func benchNoisyIter(b *testing.B, p *problems.Problem, engine string) {
+	benchRunEnergy(b, p, engine, ExecOptions{Device: device.Quebec(), Shots: 512}, true)
+}
+
+// benchRunEnergy times RunEnergyCtx on one executor of p under engine,
+// after one untimed evaluation when warm is set.
+func benchRunEnergy(b *testing.B, p *problems.Problem, engine string, opts ExecOptions, warm bool) {
 	basis, err := BuildBasis(p, BasisOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	sched := BuildSchedule(p, basis, ScheduleOptions{})
-	exec, err := NewExecutor(p, sched.Ops, ExecOptions{ForceMapEngine: engine == EngineMap})
+	opts.ForceMapEngine = engine == EngineMap
+	exec, err := NewExecutor(p, sched.Ops, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,6 +126,11 @@ func benchOptimizerIter(b *testing.B, p *problems.Problem, engine string) {
 	}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
+	if warm {
+		if _, err := exec.RunEnergyCtx(ctx, times, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := exec.RunEnergyCtx(ctx, times, rng); err != nil {
@@ -141,4 +161,28 @@ func BenchmarkOptimizerIterMapKPP3(b *testing.B) {
 
 func BenchmarkOptimizerIterCompiledKPP3(b *testing.B) {
 	benchOptimizerIter(b, problems.KPP(3, 0), EngineCompiled)
+}
+
+func BenchmarkNoisyIterMapFLP3(b *testing.B) {
+	benchNoisyIter(b, problems.FLP(3, 0), EngineMap)
+}
+
+func BenchmarkNoisyIterCompiledFLP3(b *testing.B) {
+	benchNoisyIter(b, problems.FLP(3, 0), EngineCompiled)
+}
+
+func BenchmarkNoisyIterMapKPP3(b *testing.B) {
+	benchNoisyIter(b, problems.KPP(3, 0), EngineMap)
+}
+
+func BenchmarkNoisyIterCompiledKPP3(b *testing.B) {
+	benchNoisyIter(b, problems.KPP(3, 0), EngineCompiled)
+}
+
+func BenchmarkNoisyIterMapSCP3(b *testing.B) {
+	benchNoisyIter(b, problems.SCP(3, 0), EngineMap)
+}
+
+func BenchmarkNoisyIterCompiledSCP3(b *testing.B) {
+	benchNoisyIter(b, problems.SCP(3, 0), EngineCompiled)
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -14,46 +16,73 @@ import (
 )
 
 // Engine names reported by Executor.EngineUsed and the per-segment span
-// attribute. Both engines perform the same pairing arithmetic in the same
-// order (including the amplitude prune), so results — distributions,
-// samples, energies — are bit-identical on their shared domain; which one
-// runs is a pure performance matter and never enters the canonical options
-// fingerprint.
+// attribute. Both engines perform the same pairing arithmetic, noise
+// channels and reductions in the same order (including the amplitude
+// prune), so results — distributions, samples, energies — are
+// bit-identical; which one runs is a pure performance matter and never
+// enters the canonical options fingerprint.
 const (
-	// EngineMap is the map-based Sparse simulator: no compile step, no
-	// subspace size limit, and the only engine that supports noisy devices
-	// (noise channels can scatter a state outside the compiled closure).
-	// ExecOptions.ForceMapEngine selects it unconditionally.
+	// EngineMap is the map-based Sparse simulator: no compile step and no
+	// subspace size limit. It runs when the subspace exceeds the compile
+	// budget, and as the verification oracle when
+	// ExecOptions.ForceMapEngine selects it.
 	EngineMap = "map"
 	// EngineCompiled enumerates the reachable feasible subspace once at
 	// executor construction and runs flat-array transition kernels with
-	// zero steady-state allocations. It is the default; executors fall
-	// back to EngineMap when a noisy device is attached or the subspace
-	// exceeds the compile budget (see Executor.EngineFallbackReason).
+	// zero steady-state allocations, on ideal and noisy devices alike. It
+	// is the default; executors fall back to EngineMap only when the
+	// subspace exceeds the compile budget (see
+	// Executor.EngineFallbackReason).
 	EngineCompiled = "compiled"
 )
 
 // compiledPlan is the executor-wide compile artifact of the compiled engine:
 // the enumerated subspace plus flat per-state feasibility and
-// canonical-energy tables. It is built once in NewExecutor and shared
-// read-only by every clone.
+// canonical-energy tables, and on a noisy device the memo of the spaces
+// noise moves trajectories into. It is built once in NewExecutor and shared
+// by every clone (the memo is synchronized; everything else is read-only).
 type compiledPlan struct {
 	space    *quantum.CompiledSpace
 	feasible []bool    // Problem.Feasible per state index
 	energy   []float64 // Problem.ScoreMin per state index
 	initIdx  int32
+	exc      *excursions // nil without noise channels
 }
+
+// flatDist is a distribution over basis states: a flat weight per state of
+// the init closure, plus the states outside it (which only noise reaches)
+// in ascending bitvec.Compare order.
+type flatDist struct {
+	flat  []float64
+	extra []weighted
+}
+
+// weighted is one state outside the init closure and its weight (a shot
+// count while a segment is measured).
+type weighted struct {
+	x bitvec.Vec
+	w float64
+}
+
+func compareWeighted(a, b weighted) int { return a.x.Compare(b.x) }
 
 // compiledRT holds one clone's mutable flat buffers, allocated lazily on
 // first run so Clone stays cheap. distIn/distOut ping-pong across segments;
-// lastDist snapshots the final distribution of the latest successful
+// last snapshots the final distribution of the latest successful
 // RunEnergyCtx for LastDistribution.
 type compiledRT struct {
-	st            *quantum.CompiledState
-	distIn        []float64
-	distOut       []float64
-	counts        []int
-	lastDist      []float64
+	// st holds the running trajectory; alt receives it when a noise branch
+	// moves it to another space (the two swap).
+	st, alt *quantum.CompiledState
+	distIn  flatDist
+	distOut flatDist
+	counts  []int
+	// strays holds the outcomes measured outside the init closure that
+	// the segment keeps (feasible ones, or all without purification);
+	// purged counts the shots on the others.
+	strays        []weighted
+	purged        int
+	last          flatDist
 	lastDistValid bool
 }
 
@@ -61,10 +90,6 @@ type compiledRT struct {
 // setting plan/EngineUsed on success and EngineFallbackReason otherwise.
 // Called from NewExecutor after segmentation.
 func (e *Executor) compileEngine() {
-	if e.opts.Device != nil && !e.opts.Device.Noise.IsZero() {
-		e.EngineFallbackReason = "noisy device: noise channels can leave the compiled subspace"
-		return
-	}
 	us := make([][]int64, len(e.ops))
 	for i := range e.ops {
 		us[i] = e.ops[i].U
@@ -90,6 +115,9 @@ func (e *Executor) compileEngine() {
 		plan.feasible[i] = e.p.Feasible(x)
 		plan.energy[i] = e.p.ScoreMin(x)
 	}
+	if e.channels != nil {
+		plan.exc = newExcursions(space)
+	}
 	e.plan = plan
 	e.EngineUsed = EngineCompiled
 }
@@ -99,25 +127,26 @@ func (e *Executor) rt() *compiledRT {
 	if e.crt == nil {
 		n := e.plan.space.Size()
 		e.crt = &compiledRT{
-			st:       e.plan.space.NewState(),
-			distIn:   make([]float64, n),
-			distOut:  make([]float64, n),
-			counts:   make([]int, n),
-			lastDist: make([]float64, n),
+			st:      e.plan.space.NewState(),
+			alt:     e.plan.space.NewState(),
+			distIn:  flatDist{flat: make([]float64, n)},
+			distOut: flatDist{flat: make([]float64, n)},
+			counts:  make([]int, n),
+			last:    flatDist{flat: make([]float64, n)},
 		}
 		e.crt.st.SetWorkerLimit(e.workerLimit)
+		e.crt.alt.SetWorkerLimit(e.workerLimit)
 	}
 	return e.crt
 }
 
 // runCompiled is the compiled-engine counterpart of the RunCtx segment loop,
-// propagating the inter-segment distribution as a flat []float64 over the
-// compiled subspace. The returned slice aliases the clone's ping-pong
-// buffer: callers consume it before the next run. Every float matches the
-// map engine bit for bit — merges, purification, and normalization all
-// accumulate in ascending state order, which is exactly the map path's
-// sorted-key order.
-func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand) ([]float64, error) {
+// propagating the inter-segment distribution over the compiled subspace.
+// The returned distribution aliases the clone's ping-pong buffers: callers
+// consume it before the next run. Every float matches the map engine bit
+// for bit — merges, purification, and normalization all accumulate in
+// ascending state order, which is exactly the map path's sorted-key order.
+func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand) (*flatDist, error) {
 	e.LastShotsUsed = 0
 	e.LastFeasibleShots = 0
 	e.LastMeasuredShots = 0
@@ -126,11 +155,10 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 	e.LastTerminatedEarly = false
 
 	rt := e.rt()
-	in, out := rt.distIn, rt.distOut
-	for i := range in {
-		in[i] = 0
-	}
-	in[e.plan.initIdx] = 1
+	in, out := &rt.distIn, &rt.distOut
+	clear(in.flat)
+	in.extra = in.extra[:0]
+	in.flat[e.plan.initIdx] = 1
 	for segIdx, seg := range e.segments {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -143,7 +171,8 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 		}
 		var err error
 		if e.opts.Shots <= 0 && e.opts.Device == nil {
-			err = e.runCompiledSegmentExact(ctx, seg, t, in, out, segSpan)
+			out.extra = out.extra[:0] // noise-free: nothing leaves the init closure
+			err = e.runCompiledSegmentExact(ctx, seg, t, in.flat, out.flat, segSpan)
 		} else {
 			err = e.runCompiledSegmentSampled(ctx, segIdx, seg, t, in, out, rng, segSpan)
 		}
@@ -152,8 +181,8 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 			return nil, err
 		}
 		e.LastSegmentsRun++
-		empty := true
-		for _, v := range out {
+		empty := len(out.extra) == 0
+		for _, v := range out.flat {
 			if v != 0 {
 				empty = false
 				break
@@ -227,23 +256,40 @@ func (e *Executor) runCompiledSegmentExact(ctx context.Context, seg []int, t []f
 	return nil
 }
 
-// runCompiledSegmentSampled mirrors runSegmentSampled for the compiled
-// engine's domain (no noise channels, so exactly one trajectory per state
-// and no readout flips — the same branch the map path takes with a
-// zero-noise device). Shot counts accumulate into a flat counts array with
-// the same rng consumption order as the map path.
-func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, seg []int, t []float64, in, out []float64, rng *rand.Rand, segSpan obs.SpanID) error {
+// runCompiledSegmentSampled mirrors runSegmentSampled over flat arrays:
+// shot allocation, noise trajectories, measurement, readout error and
+// purification, consuming the rng in the map path's order. Incoming states
+// are visited in ascending order across the init closure and the states
+// outside it; shot counts accumulate in a flat array plus one buffer of
+// outcomes outside the init closure, sorted and merged at the end.
+func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, seg []int, t []float64, in, out *flatDist, rng *rand.Rand, segSpan obs.SpanID) error {
 	var sampleDur time.Duration
 	shots := e.opts.shotsForSegment(segIdx)
 	rt := e.crt
-	counts := rt.counts
-	for i := range counts {
-		counts[i] = 0
+	clear(rt.counts)
+	rt.strays = rt.strays[:0]
+	rt.purged = 0
+	segNS := 0.0
+	for _, op := range seg {
+		segNS += e.stats[op].durationNS
 	}
-	st := rt.st
-	for xi, w := range in {
-		if w == 0 {
-			continue
+	durations := transpile.DefaultDurations()
+	var readout *quantum.NoiseModel
+	if e.opts.Device != nil {
+		durations = e.opts.Device.Durations
+		if e.opts.Device.Noise.ReadoutError > 0 {
+			readout = &e.opts.Device.Noise
+		}
+	}
+	traj := 1
+	if e.channels != nil {
+		traj = e.opts.trajectories()
+	}
+	cur := distCursor{d: in, space: e.plan.space}
+	for {
+		xi, w, ok := cur.next()
+		if !ok {
+			break
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -253,59 +299,348 @@ func (e *Executor) runCompiledSegmentSampled(ctx context.Context, segIdx int, se
 			continue
 		}
 		e.LastShotsUsed += nx
-		segNS := 0.0
-		for _, op := range seg {
-			segNS += e.stats[op].durationNS
-		}
-		durations := transpile.DefaultDurations()
-		if e.opts.Device != nil {
-			durations = e.opts.Device.Durations
-		}
 		e.LastQuantumNS += float64(nx) * (segNS + durations.ReadoutNS + durations.ResetNS)
 
-		st.Reset(int32(xi))
-		for _, op := range seg {
-			st.ApplyTransition(op, t[op])
+		tn := min(traj, nx)
+		base, extra := nx/tn, nx%tn
+		for k := 0; k < tn; k++ {
+			n := base
+			if k < extra {
+				n++
+			}
+			if n == 0 {
+				continue
+			}
+			tj := e.startTrajectory(xi, cur.state())
+			for _, op := range seg {
+				tj.transition(op, t[op])
+				if e.channels != nil {
+					tj.noise(op, rng)
+				}
+			}
+			mark := e.spans.Now()
+			tj.measure(rng, n, readout)
+			sampleDur += e.spans.Now() - mark
 		}
-		mark := e.spans.Now()
-		st.SampleCounts(rng, nx, counts)
-		sampleDur += e.spans.Now() - mark
 	}
-	total := 0
-	any := false
-	for i := range out {
-		out[i] = 0
-	}
-	for i, c := range counts {
+
+	clear(out.flat)
+	out.extra = out.extra[:0]
+	total := rt.purged
+	for i, c := range rt.counts {
 		if c == 0 {
 			continue
 		}
-		any = true
 		total += c
-		out[i] = float64(c)
+		out.flat[i] = float64(c)
 		if e.plan.feasible[i] {
 			e.LastFeasibleShots += c
 		}
 	}
-	if !any {
+	mark := e.spans.Now()
+	if len(rt.strays) > 0 {
+		slices.SortFunc(rt.strays, compareWeighted)
+		for k := 0; k < len(rt.strays); {
+			s := rt.strays[k]
+			for k++; k < len(rt.strays) && rt.strays[k].x == s.x; k++ {
+				s.w += rt.strays[k].w
+			}
+			c := int(s.w)
+			total += c
+			if e.p.Feasible(s.x) {
+				e.LastFeasibleShots += c
+			}
+			out.extra = append(out.extra, s)
+		}
+	}
+	if total == 0 {
 		return fmt.Errorf("core: %s: zero shots allocated in segment", e.p.Name)
 	}
 	e.LastMeasuredShots += total
-	mark := e.spans.Now()
 	if !e.opts.DisablePurify {
-		for i := range out {
+		for i := range out.flat {
 			if !e.plan.feasible[i] {
-				out[i] = 0
+				out.flat[i] = 0
 			}
 		}
 	}
-	normalizeFlat(out)
+	out.normalize(e.plan.space)
 	if e.spans.Enabled() {
 		end := e.spans.Now()
 		sampleDur += end - mark
 		e.spans.Record(obs.StageSample, e.spanTrack, segSpan, end-sampleDur, end)
 	}
 	return nil
+}
+
+// trajectory is one noise realization of one incoming state through a
+// segment. It runs on the clone's flat compiled state while every space it
+// is moved into is compiled within budget, and finishes on the map engine
+// (sp) otherwise; the two perform the same float operations in the same
+// order, so where it runs never changes a result.
+type trajectory struct {
+	e    *Executor
+	rt   *compiledRT
+	node *spaceNode // space of rt.st; nil on a noise-free executor
+	sp   *quantum.Sparse
+}
+
+// startTrajectory seeds a trajectory at x, whose init-closure index is xi
+// (-1 outside it).
+func (e *Executor) startTrajectory(xi int32, x bitvec.Vec) trajectory {
+	tj := trajectory{e: e, rt: e.crt}
+	if e.plan.exc == nil {
+		tj.rt.st.Reset(xi)
+		return tj
+	}
+	tj.node = e.plan.exc.root
+	if xi < 0 {
+		h := e.plan.exc.seed(x)
+		if h.node == nil {
+			tj.sp = quantum.NewSparse(x)
+			return tj
+		}
+		tj.node, xi = h.node, h.idx
+	}
+	if tj.rt.st.Space() != tj.node.space {
+		tj.rt.st.Rebind(tj.node.space)
+	}
+	tj.rt.st.Reset(xi)
+	return tj
+}
+
+func (tj *trajectory) transition(op int, t float64) {
+	if tj.sp != nil {
+		tj.sp.ApplyTransition(tj.e.ops[op].U, t)
+		return
+	}
+	tj.rt.st.ApplyTransition(op, t)
+}
+
+// noise applies operator op's noise channel, drawing from rng exactly as
+// Executor.injectOperatorNoise does on the map engine.
+func (tj *trajectory) noise(op int, rng *rand.Rand) {
+	ch := &tj.e.channels[op]
+	if len(ch.support) == 0 {
+		return
+	}
+	if ch.depol > 0 && rng.Float64() < ch.depol {
+		q := ch.support[rng.Intn(len(ch.support))]
+		switch rng.Intn(3) {
+		case 0:
+			tj.move(q, quantum.MoveX)
+		case 1:
+			tj.move(q, quantum.MoveY)
+		default:
+			if tj.sp != nil {
+				tj.sp.ApplyZ(q)
+			} else {
+				tj.rt.st.NegateBit(q)
+			}
+		}
+	}
+	for _, q := range ch.support {
+		tj.ampDamp(q, ch.ampGamma, rng)
+		tj.phaseDamp(q, ch.phaseGamma, rng)
+	}
+}
+
+// move applies a basis-permuting branch: through the memoized index map
+// into the target space, or on the map engine when there is none.
+func (tj *trajectory) move(q int, m quantum.Move) {
+	if tj.sp == nil {
+		ex := tj.e.plan.exc.move(tj.node, q, m)
+		if ex.to != nil {
+			rt := tj.rt
+			rt.alt.LoadMoved(rt.st, q, m, ex.idx, ex.to.space)
+			rt.st, rt.alt = rt.alt, rt.st
+			tj.node = ex.to
+			return
+		}
+		tj.sp = tj.rt.st.ToSparse()
+	}
+	switch m {
+	case quantum.MoveX:
+		tj.sp.ApplyX(q)
+	case quantum.MoveY:
+		tj.sp.ApplyY(q)
+	default:
+		tj.sp.ApplyDecay(q)
+	}
+}
+
+// ampDamp is quantum.ApplyAmplitudeDampingSparse on the trajectory.
+func (tj *trajectory) ampDamp(q int, gamma float64, rng *rand.Rand) {
+	if gamma <= 0 {
+		return
+	}
+	if tj.sp != nil {
+		quantum.ApplyAmplitudeDampingSparse(tj.sp, q, gamma, rng)
+		return
+	}
+	p1 := tj.rt.st.Prob1(q)
+	if rng.Float64() < gamma*p1 {
+		tj.move(q, quantum.MoveDecay)
+	} else {
+		tj.rt.st.ScaleBit(q, complex(math.Sqrt(1-gamma), 0))
+	}
+	if tj.sp != nil {
+		tj.sp.Normalize()
+	} else {
+		tj.rt.st.Normalize()
+	}
+}
+
+// phaseDamp is quantum.ApplyPhaseDampingSparse on the trajectory; both of
+// its branches are diagonal.
+func (tj *trajectory) phaseDamp(q int, gamma float64, rng *rand.Rand) {
+	if gamma <= 0 {
+		return
+	}
+	if tj.sp != nil {
+		quantum.ApplyPhaseDampingSparse(tj.sp, q, gamma, rng)
+		return
+	}
+	st := tj.rt.st
+	p1 := st.Prob1(q)
+	if rng.Float64() < gamma*p1 {
+		st.ProjectBit(q)
+	} else {
+		st.ScaleBit(q, complex(math.Sqrt(1-gamma), 0))
+	}
+	st.Normalize()
+}
+
+// measure samples n shots of the trajectory, applies readout error per bit
+// per shot in ascending outcome order, and counts the readings.
+func (tj *trajectory) measure(rng *rand.Rand, n int, readout *quantum.NoiseModel) {
+	rt := tj.rt
+	if tj.sp != nil {
+		sampled := tj.sp.Sample(rng, n)
+		for _, y := range sortedCountKeys(sampled) {
+			tj.e.countReadings(y, -1, sampled[y], readout, rng)
+		}
+		return
+	}
+	space := rt.st.Space()
+	for _, o := range rt.st.SampleOutcomes(rng, n) {
+		home := o.Index
+		if tj.node != nil {
+			home = tj.node.homeOf(o.Index)
+		}
+		if readout == nil && home >= 0 {
+			rt.counts[home] += o.Count
+			continue
+		}
+		tj.e.countReadings(space.StateAt(o.Index), home, o.Count, readout, rng)
+	}
+}
+
+// countReadings counts c shots measured in state y, whose init-closure
+// index is home (-1 outside it or unknown), reading each through readout
+// when it is non-nil.
+func (e *Executor) countReadings(y bitvec.Vec, home int32, c int, readout *quantum.NoiseModel, rng *rand.Rand) {
+	if readout == nil {
+		e.count(y, home, c)
+		return
+	}
+	for k := 0; k < c; k++ {
+		r := readout.ApplyReadout(y, rng)
+		h := home
+		if r != y {
+			h = -1
+		}
+		e.count(r, h, 1)
+	}
+}
+
+// count adds c shots on state y, whose init-closure index is h (-1 when
+// outside it or unknown).
+func (e *Executor) count(y bitvec.Vec, h int32, c int) {
+	rt := e.crt
+	if h < 0 {
+		if i, ok := e.plan.space.IndexOf(y); ok {
+			h = i
+		}
+	}
+	switch {
+	case h >= 0:
+		rt.counts[h] += c
+	case e.opts.DisablePurify || e.p.Feasible(y):
+		rt.strays = append(rt.strays, weighted{y, float64(c)})
+	default:
+		rt.purged += c
+	}
+}
+
+// distCursor visits the states of a flatDist with nonzero weight in
+// ascending bitvec.Compare order, merging the init closure's flat array
+// with the states outside it.
+type distCursor struct {
+	d     *flatDist
+	space *quantum.CompiledSpace
+	i, j  int
+	idx   int32 // of the current state, -1 for one outside the init closure
+}
+
+// next advances to the next state and returns its init-closure index (-1
+// outside it) and weight; ok is false once every state was visited.
+func (c *distCursor) next() (idx int32, w float64, ok bool) {
+	flat := c.d.flat
+	for c.i < len(flat) && flat[c.i] == 0 {
+		c.i++
+	}
+	if c.j < len(c.d.extra) {
+		s := &c.d.extra[c.j]
+		if c.i == len(flat) || s.x.Compare(c.space.StateAt(int32(c.i))) < 0 {
+			c.j++
+			c.idx = -1
+			return -1, s.w, true
+		}
+	}
+	if c.i == len(flat) {
+		return 0, 0, false
+	}
+	c.idx = int32(c.i)
+	c.i++
+	return c.idx, flat[c.idx], true
+}
+
+// state returns the current state.
+func (c *distCursor) state() bitvec.Vec {
+	if c.idx < 0 {
+		return c.d.extra[c.j-1].x
+	}
+	return c.space.StateAt(c.idx)
+}
+
+// normalize rescales d to unit mass, summing in ascending state order like
+// normalizeDist.
+func (d *flatDist) normalize(space *quantum.CompiledSpace) {
+	if len(d.extra) == 0 {
+		normalizeFlat(d.flat)
+		return
+	}
+	s := 0.0
+	cur := distCursor{d: d, space: space}
+	for {
+		_, w, ok := cur.next()
+		if !ok {
+			break
+		}
+		s += w
+	}
+	if s == 0 {
+		return
+	}
+	for i, v := range d.flat {
+		if v != 0 {
+			d.flat[i] = v / s
+		}
+	}
+	for k := range d.extra {
+		d.extra[k].w /= s
+	}
 }
 
 // normalizeFlat rescales a flat distribution to unit mass. The sum runs in
@@ -328,12 +663,15 @@ func normalizeFlat(d []float64) {
 
 // flatToMap materializes a flat distribution as the map form the public API
 // returns; zero entries are absent keys, matching the map engine exactly.
-func (e *Executor) flatToMap(flat []float64) map[bitvec.Vec]float64 {
-	out := make(map[bitvec.Vec]float64)
-	for i, v := range flat {
+func (e *Executor) flatToMap(d *flatDist) map[bitvec.Vec]float64 {
+	out := make(map[bitvec.Vec]float64, len(d.extra))
+	for i, v := range d.flat {
 		if v != 0 {
 			out[e.plan.space.StateAt(int32(i))] = v
 		}
+	}
+	for _, s := range d.extra {
+		out[s.x] = s.w
 	}
 	return out
 }
@@ -356,17 +694,25 @@ func (e *Executor) RunEnergyCtx(ctx context.Context, t []float64, rng *rand.Rand
 		return 0, fmt.Errorf("core: %d times for %d operators", len(t), len(e.ops))
 	}
 	if e.plan != nil {
-		flat, err := e.runCompiled(ctx, t, rng)
+		d, err := e.runCompiled(ctx, t, rng)
 		if err != nil {
 			return 0, err
 		}
 		rt := e.crt
-		copy(rt.lastDist, flat)
+		copy(rt.last.flat, d.flat)
+		rt.last.extra = append(rt.last.extra[:0], d.extra...)
 		rt.lastDistValid = true
 		energy := 0.0
-		for i, v := range flat {
-			if v != 0 {
-				energy += v * e.plan.energy[i]
+		cur := distCursor{d: d, space: e.plan.space}
+		for {
+			i, w, ok := cur.next()
+			if !ok {
+				break
+			}
+			if i >= 0 {
+				energy += w * e.plan.energy[i]
+			} else {
+				energy += w * e.p.ScoreMin(cur.state())
 			}
 		}
 		return energy, nil
@@ -393,7 +739,7 @@ func (e *Executor) LastDistribution() map[bitvec.Vec]float64 {
 		if e.crt == nil || !e.crt.lastDistValid {
 			return nil
 		}
-		return e.flatToMap(e.crt.lastDist)
+		return e.flatToMap(&e.crt.last)
 	}
 	return e.lastGoodDist
 }

@@ -49,12 +49,11 @@ type ExecOptions struct {
 	MaxShotsPerSegment int
 	// ForceMapEngine skips the compiled engine and runs the map-based
 	// Sparse simulator unconditionally. Without it the executor compiles
-	// the reachable feasible subspace and falls back to the map engine
-	// only when a noisy device is attached or the subspace exceeds the
-	// compile budget. The engines are bit-identical on their shared
-	// domain, so the field is excluded from CanonicalOptionsJSON; it exists
-	// for the verification oracle and engine tests/benchmarks, which
-	// compare the two paths.
+	// the reachable feasible subspace, noisy devices included, and falls
+	// back to the map engine only when the subspace exceeds the compile
+	// budget. The engines are bit-identical, so the field is excluded from
+	// CanonicalOptionsJSON; it exists for the verification oracle and
+	// engine tests/benchmarks, which compare the two paths.
 	ForceMapEngine bool
 }
 
@@ -117,6 +116,18 @@ type opStats struct {
 	durationNS float64
 }
 
+// opChannel is one operator's effective noise channel on a noisy device
+// (Device.OperatorNoise), fixed at executor construction: a depolarizing
+// event strikes one uniformly chosen support qubit, and both damping
+// channels act on every support qubit with the operator's rate split
+// evenly across them.
+type opChannel struct {
+	support    []int
+	depol      float64
+	ampGamma   float64 // per support qubit
+	phaseGamma float64 // per support qubit
+}
+
 // Executor runs a fixed schedule with variable evolution times. It is
 // constructed once per solve: segmentation and per-operator compilation
 // are offline, matching the paper's one-shot pruning/compile flow.
@@ -126,6 +137,9 @@ type Executor struct {
 	segments [][]int // operator indices per segment
 	stats    []opStats
 	opts     ExecOptions
+	// channels holds each operator's noise channel; nil without a noisy
+	// device.
+	channels []opChannel
 
 	// SegmentDepths holds the compiled depth of each segment circuit.
 	SegmentDepths []int
@@ -180,6 +194,7 @@ func (e *Executor) SetWorkerLimit(n int) {
 	e.workerLimit = n
 	if e.crt != nil {
 		e.crt.st.SetWorkerLimit(n)
+		e.crt.alt.SetWorkerLimit(n)
 	}
 }
 
@@ -215,6 +230,20 @@ func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Exec
 			durationNS: transpile.CircuitDurationNS(dec, durations),
 		}
 		e.TotalCX += dec.CountKind(quantum.GateCX)
+	}
+	if opts.Device != nil && !opts.Device.Noise.IsZero() {
+		e.channels = make([]opChannel, len(ops))
+		for i, tr := range ops {
+			st := e.stats[i]
+			eff := opts.Device.OperatorNoise(st.oneQ, st.twoQ, st.depth)
+			sup := tr.Support()
+			e.channels[i] = opChannel{
+				support:    sup,
+				depol:      eff.DepolProb,
+				ampGamma:   eff.AmpDampGamma / float64(len(sup)),
+				phaseGamma: eff.PhaseGamma / float64(len(sup)),
+			}
+		}
 	}
 
 	// Segmentation.
@@ -324,11 +353,11 @@ func (e *Executor) RunCtx(ctx context.Context, t []float64, rng *rand.Rand) (map
 		return nil, fmt.Errorf("core: %d times for %d operators", len(t), len(e.ops))
 	}
 	if e.plan != nil {
-		flat, err := e.runCompiled(ctx, t, rng)
+		d, err := e.runCompiled(ctx, t, rng)
 		if err != nil {
 			return nil, err
 		}
-		return e.flatToMap(flat), nil
+		return e.flatToMap(d), nil
 	}
 	e.LastShotsUsed = 0
 	e.LastFeasibleShots = 0
@@ -457,7 +486,7 @@ func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int,
 		e.LastQuantumNS += float64(nx) * (segNS + durations.ReadoutNS + durations.ResetNS)
 
 		traj := e.opts.trajectories()
-		if noise == nil || noise.IsZero() {
+		if e.channels == nil {
 			traj = 1
 		}
 		if traj > nx {
@@ -475,7 +504,7 @@ func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int,
 			st := quantum.NewSparse(x)
 			for _, i := range seg {
 				st.ApplyTransition(e.ops[i].U, t[i])
-				if noise != nil && !noise.IsZero() {
+				if e.channels != nil {
 					e.injectOperatorNoise(st, i, rng)
 				}
 			}
@@ -522,18 +551,16 @@ func (e *Executor) runSegmentSampled(ctx context.Context, segIdx int, seg []int,
 	return out, nil
 }
 
-// injectOperatorNoise applies the device's effective channels for one
-// compiled operator to the trajectory state.
+// injectOperatorNoise applies operator opIdx's noise channel to the map
+// engine's trajectory state. The compiled engine's trajectory.noise
+// consumes the rng in exactly this order.
 func (e *Executor) injectOperatorNoise(st *quantum.Sparse, opIdx int, rng *rand.Rand) {
-	dev := e.opts.Device
-	stats := e.stats[opIdx]
-	eff := dev.OperatorNoise(stats.oneQ, stats.twoQ, stats.depth)
-	support := e.ops[opIdx].Support()
-	if len(support) == 0 {
+	ch := &e.channels[opIdx]
+	if len(ch.support) == 0 {
 		return
 	}
-	if eff.DepolProb > 0 && rng.Float64() < eff.DepolProb {
-		q := support[rng.Intn(len(support))]
+	if ch.depol > 0 && rng.Float64() < ch.depol {
+		q := ch.support[rng.Intn(len(ch.support))]
 		switch rng.Intn(3) {
 		case 0:
 			st.ApplyX(q)
@@ -543,9 +570,9 @@ func (e *Executor) injectOperatorNoise(st *quantum.Sparse, opIdx int, rng *rand.
 			st.ApplyZ(q)
 		}
 	}
-	for _, q := range support {
-		quantum.ApplyAmplitudeDampingSparse(st, q, eff.AmpDampGamma/float64(len(support)), rng)
-		quantum.ApplyPhaseDampingSparse(st, q, eff.PhaseGamma/float64(len(support)), rng)
+	for _, q := range ch.support {
+		quantum.ApplyAmplitudeDampingSparse(st, q, ch.ampGamma, rng)
+		quantum.ApplyPhaseDampingSparse(st, q, ch.phaseGamma, rng)
 	}
 }
 

@@ -75,12 +75,29 @@ func (p *Problem) ScoreMin(x bitvec.Vec) float64 {
 	return v
 }
 
-// Feasible reports whether C·x = b.
+// Feasible reports whether C·x = b. It reads the bits in place and does
+// not allocate: the noisy executor calls it on every distinct measured
+// outcome.
 func (p *Problem) Feasible(x bitvec.Vec) bool {
 	if x.Len() != p.N {
 		return false
 	}
-	return p.C.SatisfiesEq(x.Ints(), p.B)
+	c := p.C
+	if c.Cols != p.N || len(p.B) != c.Rows {
+		return c.SatisfiesEq(x.Ints(), p.B) // malformed: let linalg report it
+	}
+	for r := 0; r < c.Rows; r++ {
+		var s int64
+		for j, v := range c.Data[r*c.Cols : (r+1)*c.Cols] {
+			if v != 0 && x.Bit(j) {
+				s += v
+			}
+		}
+		if s != p.B[r] {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate performs internal consistency checks: shape agreement and

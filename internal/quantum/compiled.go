@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"rasengan/internal/bitvec"
 	"rasengan/internal/parallel"
@@ -28,9 +29,12 @@ import (
 // feasible-span invariant), and the pair arithmetic below is the same
 // operations in the same order as Sparse.ApplyTransition — including the
 // sparseEps prune — so amplitudes, supports, and sampling CDFs are
-// bit-identical to the map engine. Noise channels can scatter a state out of
-// the closure, which is why the executor only selects this engine for
-// noise-free runs.
+// bit-identical to the map engine. Noise channels are kernels on the same
+// arrays: the diagonal branches (Z, the no-jump damping branches, the
+// phase-damping projection) scale or drop active slots in place, and the
+// basis-permuting branches (X, Y, the amplitude-damping jump) move a state
+// into another closure of the same schedule through a precomputed index map
+// (Derive, MoveIndex, LoadMoved).
 
 // DefaultCompiledMaxStates caps the enumerated closure when the caller does
 // not supply a bound: 2^17 states keeps the flat amplitude array (2 MiB) and
@@ -54,20 +58,29 @@ const (
 )
 
 // CompiledSpace is the immutable compile artifact: the reachable closure of
-// one seed state under a transition schedule, with per-operator partner
-// schedules. It is built once per Executor and shared read-only by every
-// clone's CompiledState.
+// a set of seed states under a transition schedule, with per-operator
+// partner schedules. It is built once per Executor and shared read-only by
+// every clone's CompiledState.
 type CompiledSpace struct {
 	n      int
-	states []bitvec.Vec          // sorted by bitvec.Compare; index == rank
-	index  map[bitvec.Vec]int32  // inverse of states
-	opRow  []int32               // schedule op -> row in partners (-1: all-zero op)
+	states []bitvec.Vec         // sorted by bitvec.Compare; index == rank
+	index  map[bitvec.Vec]int32 // inverse of states
+	opRow  []int32              // schedule op -> row in partners (-1: all-zero op)
+	// distinct holds the schedule's distinct transition vectors and negated
+	// their negations; spaces derived from this one share both.
+	distinct, negated [][]int64
 	// partners[r][i] encodes state i's role under distinct vector r:
 	// 0 — fixed point (no valid partner in either direction);
 	// +(j+1) — i is the lower pair member, partner j = i+u;
 	// -(j+1) — i is the upper pair member, partner j = i-u.
 	partners [][]int32
 	pairs    int // total lower-member entries across partner rows
+
+	// cols[q] is a bitset over state indices: bit i is set when state i has
+	// qubit q set. Built on first use by a noise channel, so noise-free
+	// compiles do not pay for it.
+	colsOnce sync.Once
+	cols     [][]uint64
 }
 
 // CompileSpace enumerates the closure of init under the transition vectors
@@ -82,9 +95,6 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 		if len(u) != n {
 			panic(fmt.Sprintf("quantum: compile with %d-entry transition vector on %d qubits", len(u), n))
 		}
-	}
-	if maxStates <= 0 {
-		maxStates = DefaultCompiledMaxStates
 	}
 
 	// Dedupe operators by content: schedules cycle a small pool of distinct
@@ -116,24 +126,54 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 		}
 		opRow[i] = r
 	}
+	negated := make([][]int64, len(distinct))
+	for r, u := range distinct {
+		negated[r] = make([]int64, n)
+		for j, v := range u {
+			negated[r][j] = -v
+		}
+	}
+	tmpl := &CompiledSpace{n: n, opRow: opRow, distinct: distinct, negated: negated}
+	return tmpl.Derive([]bitvec.Vec{init}, maxStates)
+}
 
-	// Closure enumeration: breadth-first from the seed under ±u for every
+// Derive compiles the closure of seeds under the schedule this space was
+// compiled for — the compiled home of states a noise channel moves outside
+// the space. The result shares the schedule's operator rows; ok=false under
+// the same limits as CompileSpace.
+func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpace, bool) {
+	if maxStates <= 0 {
+		maxStates = DefaultCompiledMaxStates
+	}
+	// Closure enumeration: breadth-first from the seeds under ±u for every
 	// distinct vector, to fixpoint. Any state a run can ever occupy is in
 	// this set — each ApplyTransition moves amplitude only along ±u edges —
 	// so the flat arrays below cover every reachable support.
-	reach := map[bitvec.Vec]struct{}{init: {}}
-	frontier := []bitvec.Vec{init}
+	reach := make(map[bitvec.Vec]struct{}, len(seeds))
+	var frontier []bitvec.Vec
+	for _, x := range seeds {
+		if x.Len() != cs.n {
+			panic(fmt.Sprintf("quantum: %d-bit seed for a %d-qubit space", x.Len(), cs.n))
+		}
+		if _, seen := reach[x]; !seen {
+			reach[x] = struct{}{}
+			frontier = append(frontier, x)
+		}
+	}
+	if len(reach) > maxStates {
+		return nil, false
+	}
 	for len(frontier) > 0 {
 		var next []bitvec.Vec
 		for _, x := range frontier {
-			for _, u := range distinct {
+			for r, u := range cs.distinct {
 				if y, ok := x.AddSigned(u); ok {
 					if _, seen := reach[y]; !seen {
 						reach[y] = struct{}{}
 						next = append(next, y)
 					}
 				}
-				if y, ok := x.SubSigned(u); ok {
+				if y, ok := x.AddSigned(cs.negated[r]); ok {
 					if _, seen := reach[y]; !seen {
 						reach[y] = struct{}{}
 						next = append(next, y)
@@ -146,49 +186,51 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 		}
 		frontier = next
 	}
-	if len(distinct) > 0 && len(reach)*len(distinct) > compiledPairBudget {
+	if len(cs.distinct) > 0 && len(reach)*len(cs.distinct) > compiledPairBudget {
 		return nil, false
 	}
 
-	cs := &CompiledSpace{
-		n:      n,
-		states: make([]bitvec.Vec, 0, len(reach)),
-		index:  make(map[bitvec.Vec]int32, len(reach)),
-		opRow:  opRow,
+	out := &CompiledSpace{
+		n:        cs.n,
+		states:   make([]bitvec.Vec, 0, len(reach)),
+		index:    make(map[bitvec.Vec]int32, len(reach)),
+		opRow:    cs.opRow,
+		distinct: cs.distinct,
+		negated:  cs.negated,
 	}
 	for x := range reach {
-		cs.states = append(cs.states, x)
+		out.states = append(out.states, x)
 	}
 	// Sorted by Compare: ascending index order is ascending basis-state
 	// order, so index-ordered reductions match the map engine's
 	// sorted-key-order float accumulation bit for bit.
-	sort.Slice(cs.states, func(i, j int) bool { return cs.states[i].Compare(cs.states[j]) < 0 })
-	for i, x := range cs.states {
-		cs.index[x] = int32(i)
+	slices.SortFunc(out.states, bitvec.Vec.Compare)
+	for i, x := range out.states {
+		out.index[x] = int32(i)
 	}
 
-	cs.partners = make([][]int32, len(distinct))
-	for r, u := range distinct {
-		row := make([]int32, len(cs.states))
-		for i, x := range cs.states {
+	out.partners = make([][]int32, len(cs.distinct))
+	for r, u := range cs.distinct {
+		row := make([]int32, len(out.states))
+		for i, x := range out.states {
 			if y, ok := x.AddSigned(u); ok {
-				j, in := cs.index[y]
+				j, in := out.index[y]
 				if !in {
 					return nil, false // closure violated; unreachable by construction
 				}
 				row[i] = j + 1
-				cs.pairs++
-			} else if y, ok := x.SubSigned(u); ok {
-				j, in := cs.index[y]
+				out.pairs++
+			} else if y, ok := x.AddSigned(cs.negated[r]); ok {
+				j, in := out.index[y]
 				if !in {
 					return nil, false
 				}
 				row[i] = -(j + 1)
 			}
 		}
-		cs.partners[r] = row
+		out.partners[r] = row
 	}
-	return cs, true
+	return out, true
 }
 
 // NumQubits returns the register width.
@@ -218,6 +260,87 @@ func (cs *CompiledSpace) IndexOf(x bitvec.Vec) (int32, bool) {
 	return i, ok
 }
 
+// column returns the bitset of states with qubit q set.
+func (cs *CompiledSpace) column(q int) []uint64 {
+	cs.colsOnce.Do(func() {
+		words := (len(cs.states) + 63) / 64
+		flat := make([]uint64, cs.n*words)
+		cs.cols = make([][]uint64, cs.n)
+		for b := range cs.cols {
+			cs.cols[b] = flat[b*words : (b+1)*words]
+		}
+		for i, x := range cs.states {
+			for b := 0; b < cs.n; b++ {
+				if x.Bit(b) {
+					cs.cols[b][i>>6] |= 1 << (uint(i) & 63)
+				}
+			}
+		}
+	})
+	return cs.cols[q]
+}
+
+func hasBit(col []uint64, i int32) bool { return col[i>>6]>>(uint(i)&63)&1 != 0 }
+
+// Move is a basis-permuting noise branch on one qubit.
+type Move uint8
+
+const (
+	// MoveX is a Pauli X error: the qubit flips.
+	MoveX Move = iota
+	// MoveY is a Pauli Y error: the qubit flips, |0⟩→i|1⟩ and |1⟩→−i|0⟩.
+	MoveY
+	// MoveDecay is the amplitude-damping jump |1⟩→|0⟩: states with the
+	// qubit clear are annihilated, the others clear it.
+	MoveDecay
+)
+
+// image returns x moved by m on qubit q; ok=false when m annihilates x.
+func (m Move) image(x bitvec.Vec, q int) (bitvec.Vec, bool) {
+	if m == MoveDecay {
+		if !x.Bit(q) {
+			return x, false
+		}
+		x.Set(q, false)
+		return x, true
+	}
+	x.Flip(q)
+	return x, true
+}
+
+// MoveImages returns the images of the space's states under m on qubit q,
+// in index order, skipping annihilated states — the seeds of the space m
+// moves a state of this one into.
+func (cs *CompiledSpace) MoveImages(q int, m Move) []bitvec.Vec {
+	out := make([]bitvec.Vec, 0, len(cs.states))
+	for _, x := range cs.states {
+		if y, ok := m.image(x, q); ok {
+			out = append(out, y)
+		}
+	}
+	return out
+}
+
+// MoveIndex maps every state index of cs to the index in dst of its image
+// under m on qubit q, or -1 where m annihilates the state. It reports
+// ok=false when an image lies outside dst. X and Y share one map.
+func (cs *CompiledSpace) MoveIndex(q int, m Move, dst *CompiledSpace) ([]int32, bool) {
+	idx := make([]int32, len(cs.states))
+	for i, x := range cs.states {
+		y, ok := m.image(x, q)
+		if !ok {
+			idx[i] = -1
+			continue
+		}
+		j, in := dst.index[y]
+		if !in {
+			return nil, false
+		}
+		idx[i] = j
+	}
+	return idx, true
+}
+
 // NewState returns a zero (null) state over the compiled closure. Call
 // Reset/ResetState before use.
 func (cs *CompiledSpace) NewState() *CompiledState {
@@ -244,13 +367,17 @@ type CompiledState struct {
 	stamp  []uint64
 	epoch  uint64
 	active []int32
+	// sorted records that active is in ascending order, so the sorted
+	// reductions of a noise channel sort at most once per transition.
+	sorted bool
 
 	// Reused scratch: per-chunk activation buffers of the sharded kernel
 	// (appended in chunk order, so activation order is worker-count
-	// independent) and the CDF/draw buffers of Sample.
+	// independent) and the CDF/draw/outcome buffers of sampling.
 	chunkActs [][]int32
 	cdf       []float64
 	draws     []float64
+	outcomes  []Outcome
 
 	// workers caps the sharded kernel's fan-out for this state; 0 means
 	// the package default width. Set through SetWorkerLimit by callers
@@ -288,14 +415,33 @@ func (s *CompiledState) NumQubits() int { return s.space.n }
 // transition, so this equals the map engine's stored-key count.
 func (s *CompiledState) Size() int { return len(s.active) }
 
-// Reset re-seeds the state to the basis state with dense index i. Previous
-// amplitudes are cleared in O(previous support).
-func (s *CompiledState) Reset(i int32) {
+// clear empties the state in O(support).
+func (s *CompiledState) clear() {
 	for _, k := range s.active {
 		s.amps[k] = 0
 	}
 	s.active = s.active[:0]
 	s.epoch++
+	s.sorted = true
+}
+
+// Rebind empties the state and moves it onto cs, a space of the same
+// schedule (see Derive). The buffers grow only when cs is larger than every
+// space the state has held, so rebinding among a fixed set of spaces does
+// not allocate.
+func (s *CompiledState) Rebind(cs *CompiledSpace) {
+	s.clear()
+	if len(s.amps) < len(cs.states) {
+		s.amps = make([]complex128, len(cs.states))
+		s.stamp = make([]uint64, len(cs.states))
+	}
+	s.space = cs
+}
+
+// Reset re-seeds the state to the basis state with dense index i. Previous
+// amplitudes are cleared in O(previous support).
+func (s *CompiledState) Reset(i int32) {
+	s.clear()
 	s.amps[i] = 1
 	s.stamp[i] = s.epoch
 	s.active = append(s.active, i)
@@ -345,6 +491,9 @@ func (s *CompiledState) ApplyTransition(op int, t float64) {
 		s.applySharded(row, ct, st, snapshot)
 	} else {
 		s.applySerial(row, ct, st, snapshot)
+	}
+	if len(s.active) > snapshot {
+		s.sorted = false
 	}
 	s.prune()
 }
@@ -461,7 +610,10 @@ func (s *CompiledState) prune() {
 // map engine's Support()/sortedDistKeys produce. The returned slice aliases
 // internal state: it is valid until the next mutating call.
 func (s *CompiledState) SortedActive() []int32 {
-	slices.Sort(s.active)
+	if !s.sorted {
+		slices.Sort(s.active)
+		s.sorted = true
+	}
 	return s.active
 }
 
@@ -487,13 +639,126 @@ func (s *CompiledState) Norm() float64 {
 	return t
 }
 
-// SampleCounts draws shots measurements and accumulates them into counts
-// (len == Space().Size()), indexed by dense state index. The CDF
-// construction, the up-front sorted uniform draws, and the single merge pass
-// are the same algorithm — and the same rng consumption — as Sparse.Sample,
-// so for equal amplitudes the counts are identical. Scratch buffers are
-// reused across calls.
-func (s *CompiledState) SampleCounts(rng *rand.Rand, shots int, counts []int) {
+// Normalize rescales to unit norm, reporting whether the state was
+// non-null — Sparse.Normalize over the flat arrays.
+func (s *CompiledState) Normalize() bool {
+	nrm := math.Sqrt(s.Norm())
+	if nrm == 0 {
+		return false
+	}
+	inv := complex(1/nrm, 0)
+	for _, i := range s.active {
+		s.amps[i] *= inv
+	}
+	return true
+}
+
+// Prob1 returns the (unnormalized) probability that qubit q reads 1,
+// accumulated in sorted support order like the map engine's damping
+// channels.
+func (s *CompiledState) Prob1(q int) float64 {
+	col := s.space.column(q)
+	p := 0.0
+	for _, i := range s.SortedActive() {
+		if hasBit(col, i) {
+			a := s.amps[i]
+			p += real(a)*real(a) + imag(a)*imag(a)
+		}
+	}
+	return p
+}
+
+// ScaleBit multiplies the amplitude of every support state with qubit q set
+// by f: the no-jump branch of both damping channels.
+func (s *CompiledState) ScaleBit(q int, f complex128) {
+	col := s.space.column(q)
+	for _, i := range s.active {
+		if hasBit(col, i) {
+			s.amps[i] = s.amps[i] * f
+		}
+	}
+}
+
+// NegateBit applies Pauli Z on qubit q.
+func (s *CompiledState) NegateBit(q int) {
+	col := s.space.column(q)
+	for _, i := range s.active {
+		if hasBit(col, i) {
+			s.amps[i] = -s.amps[i]
+		}
+	}
+}
+
+// ProjectBit drops every support state with qubit q clear: the
+// phase-damping jump. The support keeps its order.
+func (s *CompiledState) ProjectBit(q int) {
+	col := s.space.column(q)
+	w := 0
+	for _, i := range s.active {
+		if !hasBit(col, i) {
+			s.amps[i] = 0
+			s.stamp[i] = 0
+			continue
+		}
+		s.active[w] = i
+		w++
+	}
+	s.active = s.active[:w]
+}
+
+// LoadMoved replaces s with src moved by m on qubit q, living on space to;
+// idx is src.Space().MoveIndex(q, m, to). Amplitudes follow Sparse.ApplyX,
+// Sparse.ApplyY and Sparse.ApplyDecay exactly. s and src must be distinct.
+func (s *CompiledState) LoadMoved(src *CompiledState, q int, m Move, idx []int32, to *CompiledSpace) {
+	s.Rebind(to)
+	var col []uint64
+	if m == MoveY {
+		col = src.space.column(q)
+	}
+	for _, i := range src.active {
+		j := idx[i]
+		if j < 0 {
+			continue // annihilated by the decay jump
+		}
+		a := src.amps[i]
+		if m == MoveY {
+			if hasBit(col, i) {
+				a = a * complex(0, -1)
+			} else {
+				a = a * complex(0, 1)
+			}
+		}
+		s.amps[j] = a
+		s.stamp[j] = s.epoch
+		s.active = append(s.active, j)
+	}
+	s.sorted = false
+}
+
+// ToSparse copies the state into the map engine's representation, with the
+// same support and amplitudes.
+func (s *CompiledState) ToSparse() *Sparse {
+	sp := &Sparse{n: s.space.n, amps: make(map[bitvec.Vec]complex128, len(s.active))}
+	for _, i := range s.active {
+		sp.amps[s.space.states[i]] = s.amps[i]
+	}
+	return sp
+}
+
+// Outcome is one measured basis state of a compiled space and how many
+// shots landed on it.
+type Outcome struct {
+	Index int32
+	Count int
+}
+
+// SampleOutcomes draws shots measurements and returns the states hit, in
+// ascending index (bitvec.Compare) order, each once with its shot count.
+// The CDF construction, the up-front sorted uniform draws, and the single
+// merge pass are the same algorithm — and the same rng consumption — as
+// Sparse.Sample, so for equal amplitudes the outcomes are identical. The
+// returned slice is reused scratch, valid until the next call.
+func (s *CompiledState) SampleOutcomes(rng *rand.Rand, shots int) []Outcome {
 	keys := s.SortedActive()
 	if cap(s.cdf) < len(keys) {
 		s.cdf = make([]float64, len(keys))
@@ -505,8 +770,10 @@ func (s *CompiledState) SampleCounts(rng *rand.Rand, shots int, counts []int) {
 		acc += real(a)*real(a) + imag(a)*imag(a)
 		cdf[i] = acc
 	}
+	out := s.outcomes[:0]
 	if len(keys) == 0 || shots <= 0 {
-		return
+		s.outcomes = out
+		return out
 	}
 	if cap(s.draws) < shots {
 		s.draws = make([]float64, shots)
@@ -520,50 +787,24 @@ func (s *CompiledState) SampleCounts(rng *rand.Rand, shots int, counts []int) {
 	for _, r := range draws {
 		for idx < len(keys)-1 && cdf[idx] < r {
 			if pending > 0 {
-				counts[keys[idx]] += pending
+				out = append(out, Outcome{keys[idx], pending})
 				pending = 0
 			}
 			idx++
 		}
 		pending++
 	}
-	counts[keys[idx]] += pending
+	out = append(out, Outcome{keys[idx], pending})
+	s.outcomes = out
+	return out
 }
 
 // Sample draws shots measurements as a basis-state count map, bit-identical
 // to Sparse.Sample on an equal state (same draws, same cell boundaries).
 func (s *CompiledState) Sample(rng *rand.Rand, shots int) map[bitvec.Vec]int {
-	keys := s.SortedActive()
-	if cap(s.cdf) < len(keys) {
-		s.cdf = make([]float64, len(keys))
-	}
-	cdf := s.cdf[:len(keys)]
-	acc := 0.0
-	for i, k := range keys {
-		a := s.amps[k]
-		acc += real(a)*real(a) + imag(a)*imag(a)
-		cdf[i] = acc
-	}
 	out := make(map[bitvec.Vec]int)
-	if len(keys) == 0 || shots <= 0 {
-		return out
+	for _, o := range s.SampleOutcomes(rng, shots) {
+		out[s.space.states[o.Index]] += o.Count
 	}
-	draws := make([]float64, shots)
-	for i := range draws {
-		draws[i] = rng.Float64() * acc
-	}
-	sort.Float64s(draws)
-	idx, pending := 0, 0
-	for _, r := range draws {
-		for idx < len(keys)-1 && cdf[idx] < r {
-			if pending > 0 {
-				out[s.space.states[keys[idx]]] += pending
-				pending = 0
-			}
-			idx++
-		}
-		pending++
-	}
-	out[s.space.states[keys[idx]]] += pending
 	return out
 }

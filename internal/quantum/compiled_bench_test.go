@@ -48,12 +48,11 @@ func BenchmarkCompiledTransition64Q1KStates(b *testing.B) {
 }
 
 func BenchmarkCompiledSample1K(b *testing.B) {
-	cs, st := benchCompiledState(b)
+	_, st := benchCompiledState(b)
 	rng := rand.New(rand.NewSource(1))
-	counts := make([]int, cs.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.SampleCounts(rng, 1024, counts)
+		st.SampleOutcomes(rng, 1024)
 	}
 }
 

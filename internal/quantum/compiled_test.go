@@ -1,6 +1,7 @@
 package quantum
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -79,7 +80,8 @@ func TestCompiledMatchesSparseBitwise(t *testing.T) {
 }
 
 // TestCompiledSampleMatchesSparse pins sampling equality: same state, same
-// rng seed, identical count maps — and SampleCounts agrees with Sample.
+// rng seed, identical count maps — and SampleOutcomes lists the same counts
+// once per state in ascending order.
 func TestCompiledSampleMatchesSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 10
@@ -107,11 +109,16 @@ func TestCompiledSampleMatchesSparse(t *testing.T) {
 			t.Fatalf("count mismatch at %s: %d vs %d", x, c, b[x])
 		}
 	}
-	counts := make([]int, cs.Size())
-	st.SampleCounts(rand.New(rand.NewSource(7)), 4096, counts)
-	for i, c := range counts {
-		if c != a[cs.StateAt(int32(i))] {
-			t.Fatalf("SampleCounts mismatch at index %d: %d vs %d", i, c, a[cs.StateAt(int32(i))])
+	outs := st.SampleOutcomes(rand.New(rand.NewSource(7)), 4096)
+	if len(outs) != len(a) {
+		t.Fatalf("%d outcomes for %d sampled states", len(outs), len(a))
+	}
+	for k, o := range outs {
+		if k > 0 && o.Index <= outs[k-1].Index {
+			t.Fatalf("outcome %d (index %d) out of ascending order", k, o.Index)
+		}
+		if x := cs.StateAt(o.Index); o.Count != a[x] {
+			t.Fatalf("SampleOutcomes count at %s: %d vs %d", x, o.Count, a[x])
 		}
 	}
 }
@@ -250,5 +257,143 @@ func TestCompiledResetClearsState(t *testing.T) {
 	}
 	if nrm := st.Norm(); nrm != 1 {
 		t.Fatalf("norm %v after reset, want 1", nrm)
+	}
+}
+
+// assertSameState requires the compiled state to hold exactly the map
+// state's support and amplitudes.
+func assertSameState(t *testing.T, ctx string, sp *Sparse, st *CompiledState) {
+	t.Helper()
+	if sp.Size() != st.Size() {
+		t.Fatalf("%s: support %d (sparse) vs %d (compiled)", ctx, sp.Size(), st.Size())
+	}
+	for x, a := range sp.amps {
+		i, ok := st.Space().IndexOf(x)
+		if !ok || st.AmpAt(i) != a {
+			t.Fatalf("%s: amplitude of %v: sparse %v, compiled %v (in space %v)", ctx, x, a, st.Amplitude(x), ok)
+		}
+	}
+}
+
+// TestCompiledNoiseKernelsMatchSparse: the channel kernels reproduce the map
+// engine's noise arithmetic exactly — Pauli X/Y/Z, the damping branches,
+// the phase-damping projection, the decay jump, Prob1 and Normalize — with
+// the basis-permuting branches moving the state into derived spaces.
+func TestCompiledNoiseKernelsMatchSparse(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		n := 4 + rng.Intn(8)
+		ops := randTransitionOps(rng, n, 2+rng.Intn(4))
+		init := bitvec.New(n)
+		for i := 0; i < n; i++ {
+			init.Set(i, rng.Intn(2) == 1)
+		}
+		cs, ok := CompileSpace(init, ops, 0)
+		if !ok {
+			t.Fatalf("trial %d: compile failed", trial)
+		}
+		sp := NewSparse(init)
+		st, alt := cs.NewState(), cs.NewState()
+		st.ResetState(init)
+		for step := 0; step < 60; step++ {
+			op := rng.Intn(len(ops))
+			angle := rng.Float64() * 2
+			sp.ApplyTransition(ops[op], angle)
+			st.ApplyTransition(op, angle)
+			q := rng.Intn(n)
+			if p1, want := st.Prob1(q), prob1Sparse(sp, q); p1 != want {
+				t.Fatalf("trial %d step %d: Prob1 %v, sparse %v", trial, step, p1, want)
+			}
+			f := complex(math.Sqrt(1-rng.Float64()*0.4), 0)
+			switch kind := rng.Intn(6); kind {
+			case 0:
+				sp.ApplyZ(q)
+				st.NegateBit(q)
+			case 1:
+				for k, a := range sp.amps {
+					if k.Bit(q) {
+						sp.amps[k] = a * f
+					}
+				}
+				st.ScaleBit(q, f)
+			case 2:
+				if st.Prob1(q) == 0 {
+					continue // the projection would annihilate the state
+				}
+				for k := range sp.amps {
+					if !k.Bit(q) {
+						delete(sp.amps, k)
+					}
+				}
+				st.ProjectBit(q)
+			default:
+				m := Move(kind - 3)
+				if m == MoveDecay && st.Prob1(q) == 0 {
+					continue
+				}
+				dst, ok := st.Space().Derive(st.Space().MoveImages(q, m), 0)
+				if !ok {
+					t.Fatalf("trial %d step %d: derive failed", trial, step)
+				}
+				idx, ok := st.Space().MoveIndex(q, m, dst)
+				if !ok {
+					t.Fatalf("trial %d step %d: derived space misses an image", trial, step)
+				}
+				alt.LoadMoved(st, q, m, idx, dst)
+				st, alt = alt, st
+				switch m {
+				case MoveX:
+					sp.ApplyX(q)
+				case MoveY:
+					sp.ApplyY(q)
+				default:
+					sp.ApplyDecay(q)
+				}
+			}
+			sp.Normalize()
+			st.Normalize()
+			assertSameState(t, "kernels", sp, st)
+		}
+		assertSameState(t, "ToSparse", st.ToSparse(), st)
+	}
+}
+
+// TestDeriveMultiSeedClosure: the closure of several seeds is the union of
+// their single-seed closures, and Derive shares the schedule's operator
+// rows, so a derived space runs the same transitions.
+func TestDeriveMultiSeedClosure(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	n := 9
+	ops := randTransitionOps(rng, n, 3)
+	a, b := bitvec.New(n), bitvec.New(n)
+	for i := 0; i < n; i++ {
+		a.Set(i, rng.Intn(2) == 1)
+		b.Set(i, rng.Intn(2) == 1)
+	}
+	ca, _ := CompileSpace(a, ops, 0)
+	cb, _ := CompileSpace(b, ops, 0)
+	both, ok := ca.Derive([]bitvec.Vec{a, b, a}, 0)
+	if !ok {
+		t.Fatal("derive failed")
+	}
+	union := map[bitvec.Vec]bool{}
+	for _, cs := range []*CompiledSpace{ca, cb} {
+		for i := 0; i < cs.Size(); i++ {
+			union[cs.StateAt(int32(i))] = true
+		}
+	}
+	if both.Size() != len(union) {
+		t.Fatalf("closure of two seeds holds %d states, union of closures %d", both.Size(), len(union))
+	}
+	for x := range union {
+		if _, ok := both.IndexOf(x); !ok {
+			t.Fatalf("state %v missing from the two-seed closure", x)
+		}
+	}
+	if both.NumOps() != len(ops) || both.NumDistinctOps() != ca.NumDistinctOps() {
+		t.Fatal("derived space does not share the schedule")
+	}
+	if _, ok := ca.Derive([]bitvec.Vec{a, b}, 1); ok {
+		t.Fatal("derive ignored maxStates")
 	}
 }

@@ -328,10 +328,12 @@ func ApplyDepolarizingSparse(s *Sparse, q int, p float64, rng *rand.Rand) {
 	}
 }
 
+// prob1Sparse returns P(qubit q = 1), accumulated in sorted support order.
 func prob1Sparse(s *Sparse, q int) float64 {
 	p := 0.0
-	for k, a := range s.amps {
+	for _, k := range s.sortedSupport() {
 		if k.Bit(q) {
+			a := s.amps[k]
 			p += real(a)*real(a) + imag(a)*imag(a)
 		}
 	}
@@ -346,14 +348,7 @@ func ApplyAmplitudeDampingSparse(s *Sparse, q int, gamma float64, rng *rand.Rand
 	}
 	p1 := prob1Sparse(s, q)
 	if rng.Float64() < gamma*p1 {
-		next := make(map[bitvec.Vec]complex128, len(s.amps))
-		for k, a := range s.amps {
-			if k.Bit(q) {
-				k.Set(q, false)
-				next[k] = a
-			}
-		}
-		s.amps = next
+		s.ApplyDecay(q)
 	} else {
 		f := complex(math.Sqrt(1-gamma), 0)
 		for k, a := range s.amps {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"rasengan/internal/bitvec"
@@ -18,8 +19,9 @@ type Sparse struct {
 	n    int
 	amps map[bitvec.Vec]complex128
 
-	// scratch is reused across ApplyTransition calls to snapshot the
-	// support without allocating; it holds no state between calls.
+	// scratch is reused to snapshot the support (ApplyTransition) or sort
+	// it (sortedSupport) without allocating; it holds no state between
+	// calls.
 	scratch []bitvec.Vec
 }
 
@@ -56,10 +58,23 @@ func (s *Sparse) SetAmplitude(x bitvec.Vec, a complex128) {
 	}
 }
 
-// Norm returns ⟨ψ|ψ⟩.
+// sortedSupport returns the support in ascending order in the scratch
+// buffer, valid until the next call that uses scratch.
+func (s *Sparse) sortedSupport() []bitvec.Vec {
+	s.scratch = s.scratch[:0]
+	for k := range s.amps {
+		s.scratch = append(s.scratch, k)
+	}
+	slices.SortFunc(s.scratch, bitvec.Vec.Compare)
+	return s.scratch
+}
+
+// Norm returns ⟨ψ|ψ⟩, accumulated in sorted support order so the sum never
+// depends on map iteration order.
 func (s *Sparse) Norm() float64 {
 	t := 0.0
-	for _, a := range s.amps {
+	for _, k := range s.sortedSupport() {
+		a := s.amps[k]
 		t += real(a)*real(a) + imag(a)*imag(a)
 	}
 	return t
@@ -97,6 +112,20 @@ func (s *Sparse) ApplyX(q int) {
 	for k, a := range s.amps {
 		k.Flip(q)
 		next[k] = a
+	}
+	s.amps = next
+}
+
+// ApplyDecay applies the amplitude-damping jump |1⟩→|0⟩ on qubit q (the
+// unnormalized Kraus branch √γ·|0⟩⟨1|, up to the √γ factor): states with
+// qubit q set clear it, the others are annihilated.
+func (s *Sparse) ApplyDecay(q int) {
+	next := make(map[bitvec.Vec]complex128, len(s.amps))
+	for k, a := range s.amps {
+		if k.Bit(q) {
+			k.Set(q, false)
+			next[k] = a
+		}
 	}
 	s.amps = next
 }
@@ -214,7 +243,7 @@ func (s *Sparse) Support() []bitvec.Vec {
 	for k := range s.amps {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
+	slices.SortFunc(keys, bitvec.Vec.Compare)
 	return keys
 }
 
@@ -262,8 +291,9 @@ func (s *Sparse) Sample(rng *rand.Rand, shots int) map[bitvec.Vec]int {
 // projected out.
 func (s *Sparse) Filter(keep func(bitvec.Vec) bool) float64 {
 	kept := 0.0
-	for k, a := range s.amps {
+	for _, k := range s.sortedSupport() {
 		if keep(k) {
+			a := s.amps[k]
 			kept += real(a)*real(a) + imag(a)*imag(a)
 		} else {
 			delete(s.amps, k)

@@ -80,25 +80,25 @@ func marshalResult(p *problems.Problem, res *core.Result) ([]byte, error) {
 		entries = entries[:maxDistributionEntries]
 	}
 	return json.Marshal(resultPayload{
-		Problem:             p.Name,
-		Family:              p.Family,
-		NumVars:             p.N,
-		NumConstraints:      p.NumConstraints(),
-		Sense:               p.Sense.String(),
-		BestSolution:        res.BestSolution.String(),
-		BestValue:           res.BestValue,
-		Expectation:         res.Expectation,
-		InConstraintsRate:   res.InConstraintsRate,
-		RawFeasibleShotRate: res.RawFeasibleShotRate,
-		NumParams:           res.NumParams,
-		NumSegments:         res.NumSegments,
-		SegmentDepth:        res.SegmentDepth,
-		TotalCX:             res.TotalCX,
-		Iterations:          res.Iterations,
-		Evals:               res.Evals,
-		ModeledQuantumMS:    res.Latency.QuantumMS,
-		ModeledClassicalMS:  res.Latency.ClassicalMS,
-		Distribution:        entries,
+		Problem:               p.Name,
+		Family:                p.Family,
+		NumVars:               p.N,
+		NumConstraints:        p.NumConstraints(),
+		Sense:                 p.Sense.String(),
+		BestSolution:          res.BestSolution.String(),
+		BestValue:             res.BestValue,
+		Expectation:           res.Expectation,
+		InConstraintsRate:     res.InConstraintsRate,
+		RawFeasibleShotRate:   res.RawFeasibleShotRate,
+		NumParams:             res.NumParams,
+		NumSegments:           res.NumSegments,
+		SegmentDepth:          res.SegmentDepth,
+		TotalCX:               res.TotalCX,
+		Iterations:            res.Iterations,
+		Evals:                 res.Evals,
+		ModeledQuantumMS:      res.Latency.QuantumMS,
+		ModeledClassicalMS:    res.Latency.ClassicalMS,
+		Distribution:          entries,
 		DistributionTruncated: truncated,
 	})
 }

@@ -167,3 +167,22 @@ func TestInjectedFaultTripsCompiledRung(t *testing.T) {
 		t.Fatal("injected amplitude fault did not trip the compiled-engine rung")
 	}
 }
+
+// TestNoisyEngineIdentityRung: on every noisy case the compiled engine's
+// payload equals the map engine's and repeats; with fault injection on, the
+// perturbed map payload must trip the rung.
+func TestNoisyEngineIdentityRung(t *testing.T) {
+	for _, inject := range []bool{false, true} {
+		cfg := Config{SolveIters: 10, InjectAmplitudeFault: inject}.withDefaults()
+		for _, nc := range noisyCases() {
+			cr := &caseRunner{cfg: cfg, tc: &testCase{name: nc.name(), p: nc.p}}
+			cr.runNoisyCase(nc)
+			if len(cr.report.Checks) != 1 || cr.report.Checks[0].Name != "noisy_engine_identity" {
+				t.Fatalf("%s: checks %+v", nc.name(), cr.report.Checks)
+			}
+			if ok := cr.report.Checks[0].OK; ok == inject {
+				t.Fatalf("%s (inject=%v): rung ok=%v: %s", nc.name(), inject, ok, cr.report.Checks[0].Detail)
+			}
+		}
+	}
+}

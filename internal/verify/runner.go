@@ -143,15 +143,7 @@ func Run(cfg Config) *Report {
 	}
 
 	rep := &Report{Seed: cfg.Seed, CaseCount: cfg.Cases}
-	for idx, tc := range cases {
-		cr := &caseRunner{
-			cfg:    cfg,
-			tc:     tc,
-			rng:    rand.New(rand.NewSource(master.Int63())),
-			report: CaseReport{Case: tc.name, NumVars: tc.p.N},
-		}
-		solve := tc.solveEligible && cfg.SolveEvery > 0 && (idx-firstRandom)%cfg.SolveEvery == 0
-		runCaseGuarded(cr, solve)
+	add := func(cr *caseRunner) bool {
 		rep.Cases = append(rep.Cases, cr.report)
 		rep.NumChecks += len(cr.report.Checks)
 		rep.NumFailed += cr.report.Failed
@@ -162,20 +154,44 @@ func Run(cfg Config) *Report {
 		}
 		if cfg.FailFast && cr.report.Failed > 0 {
 			rep.StoppedEarly = true
-			break
+		}
+		return !rep.StoppedEarly
+	}
+	for idx, tc := range cases {
+		cr := &caseRunner{
+			cfg:    cfg,
+			tc:     tc,
+			rng:    rand.New(rand.NewSource(master.Int63())),
+			report: CaseReport{Case: tc.name, NumVars: tc.p.N},
+		}
+		solve := tc.solveEligible && cfg.SolveEvery > 0 && (idx-firstRandom)%cfg.SolveEvery == 0
+		guarded(cr, func() { cr.run(solve) })
+		if !add(cr) {
+			return rep
+		}
+	}
+	// The noisy-device solves are full solves too: they run whenever the
+	// full-solve checks do.
+	if cfg.SolveEvery > 0 {
+		for _, nc := range noisyCases() {
+			cr := &caseRunner{cfg: cfg, tc: &testCase{name: nc.name(), p: nc.p}, report: CaseReport{Case: nc.name(), NumVars: nc.p.N}}
+			guarded(cr, func() { cr.runNoisyCase(nc) })
+			if !add(cr) {
+				return rep
+			}
 		}
 	}
 	return rep
 }
 
-// runCaseGuarded isolates a panicking case: the panic becomes a failed
-// check instead of taking down the whole verification run, so one broken
-// corner still leaves a complete report for every other case.
-func runCaseGuarded(cr *caseRunner, solve bool) {
+// guarded runs one case's checks f, isolating a panic: it becomes a failed
+// check of cr instead of taking down the whole verification run, so one
+// broken corner still leaves a complete report for every other case.
+func guarded(cr *caseRunner, f func()) {
 	defer func() {
 		if r := recover(); r != nil {
 			cr.checkf("panic", false, 0, "case panicked: %v", r)
 		}
 	}()
-	cr.run(solve)
+	f()
 }
