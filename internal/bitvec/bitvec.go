@@ -207,42 +207,72 @@ func FromUint64(u uint64, n int) Vec {
 	return v
 }
 
-// AddSigned returns v + d interpreted component-wise over the integers,
-// where d is a vector with entries in {-1,0,+1}. The second result is false
-// when any component of the sum leaves {0,1}, i.e. the move is not a valid
-// binary transition (the case the transition Hamiltonian annihilates).
-func (v Vec) AddSigned(d []int64) (Vec, bool) {
-	if len(d) != v.n {
-		panic(fmt.Sprintf("bitvec: AddSigned length mismatch %d != %d", len(d), v.n))
-	}
-	out := v
-	for i, di := range d {
-		switch di {
-		case 0:
-		case 1:
-			if v.Bit(i) {
-				return Vec{}, false
-			}
-			out.Set(i, true)
-		case -1:
-			if !v.Bit(i) {
-				return Vec{}, false
-			}
-			out.Set(i, false)
-		default:
-			panic(fmt.Sprintf("bitvec: AddSigned entry %d at %d not in {-1,0,1}", di, i))
-		}
-	}
-	return out, true
+// Move is a precompiled signed transition d ∈ {-1,0,+1}^n: the word masks
+// that decide whether v ± d stays binary and the bits it flips. Build one
+// per transition vector with NewMove and apply it with Vec.Apply as often
+// as needed; applying allocates nothing.
+type Move struct {
+	// need1 marks the -1 entries (bits v+d needs set), need0 the +1
+	// entries (bits v+d needs clear); v-d swaps the two. flip is their
+	// union, the bits either direction toggles.
+	need1, need0, flip [words]uint64
+	n                  int
 }
 
-// SubSigned returns v - d under the same rules as AddSigned.
-func (v Vec) SubSigned(d []int64) (Vec, bool) {
-	neg := make([]int64, len(d))
-	for i, di := range d {
-		neg[i] = -di
+// NewMove compiles d. It panics when d is longer than MaxBits or has an
+// entry outside {-1,0,1}: such a vector is not a transition, which
+// indicates a programming error in the caller.
+func NewMove(d []int64) Move {
+	if len(d) > MaxBits {
+		panic(fmt.Sprintf("bitvec: move length %d exceeds capacity %d", len(d), MaxBits))
 	}
-	return v.AddSigned(neg)
+	m := Move{n: len(d)}
+	for i, di := range d {
+		bit := uint64(1) << (uint(i) % 64)
+		switch di {
+		case 0:
+			continue
+		case 1:
+			m.need0[i/64] |= bit
+		case -1:
+			m.need1[i/64] |= bit
+		default:
+			panic(fmt.Sprintf("bitvec: move entry %d at %d not in {-1,0,1}", di, i))
+		}
+		m.flip[i/64] |= bit
+	}
+	return m
+}
+
+// NewMoves compiles every vector of ds with NewMove.
+func NewMoves(ds [][]int64) []Move {
+	ms := make([]Move, len(ds))
+	for i, d := range ds {
+		ms[i] = NewMove(d)
+	}
+	return ms
+}
+
+// Apply returns v + d (forward) or v - d (reverse) interpreted
+// component-wise over the integers, where d is the vector m was compiled
+// from. The second result is false when any component leaves {0,1}, i.e.
+// the move is not a valid binary transition (the case the transition
+// Hamiltonian annihilates). It panics when the lengths differ.
+func (v Vec) Apply(m *Move, forward bool) (Vec, bool) {
+	if m.n != v.n {
+		panic(fmt.Sprintf("bitvec: move length mismatch %d != %d", m.n, v.n))
+	}
+	for i, w := range v.w {
+		one, zero := m.need1[i], m.need0[i]
+		if !forward {
+			one, zero = zero, one
+		}
+		if w&one != one || w&zero != 0 {
+			return Vec{}, false
+		}
+		v.w[i] = w ^ m.flip[i]
+	}
+	return v, true
 }
 
 // Compare orders vectors first by length then lexicographically by bit

@@ -96,59 +96,6 @@ func TestUint64RoundTrip(t *testing.T) {
 	}
 }
 
-func TestAddSigned(t *testing.T) {
-	x := FromBits([]int{0, 0, 0, 1, 0})
-	u := []int64{-1, 1, 0, 0, 0}
-	if _, ok := x.AddSigned(u); ok {
-		t.Error("x+u should be invalid (x0-1 = -1)")
-	}
-	// x - u2 with u2 = [-1,0,-1,1,0]: x2 = [1,0,1,0,0] (paper example).
-	u2 := []int64{-1, 0, -1, 1, 0}
-	got, ok := x.SubSigned(u2)
-	if !ok {
-		t.Fatal("x-u2 should be valid")
-	}
-	want := FromBits([]int{1, 0, 1, 0, 0})
-	if !got.Equal(want) {
-		t.Errorf("x-u2 = %v, want %v", got, want)
-	}
-	// x + u3 with u3 = [1,0,1,0,1]: x3 = [1,0,1,1,1] (paper example).
-	u3 := []int64{1, 0, 1, 0, 1}
-	got, ok = x.AddSigned(u3)
-	if !ok {
-		t.Fatal("x+u3 should be valid")
-	}
-	want = FromBits([]int{1, 0, 1, 1, 1})
-	if !got.Equal(want) {
-		t.Errorf("x+u3 = %v, want %v", got, want)
-	}
-}
-
-func TestAddSignedInverse(t *testing.T) {
-	// Property: if x+u is valid then (x+u)-u == x.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(100)
-		v := New(n)
-		for i := 0; i < n; i++ {
-			v.Set(i, rng.Intn(2) == 1)
-		}
-		u := make([]int64, n)
-		for i := range u {
-			u[i] = int64(rng.Intn(3) - 1)
-		}
-		w, ok := v.AddSigned(u)
-		if !ok {
-			return true
-		}
-		back, ok2 := w.SubSigned(u)
-		return ok2 && back.Equal(v)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestXorAndHamming(t *testing.T) {
 	a := MustFromString("1100")
 	b := MustFromString("1010")

@@ -91,7 +91,7 @@ func TestBoundaryOnesCountIntsString(t *testing.T) {
 	}
 }
 
-func TestBoundaryAddSignedAcrossWords(t *testing.T) {
+func TestBoundaryMoveAcrossWords(t *testing.T) {
 	for _, n := range boundaryLengths {
 		if n < 2 {
 			continue
@@ -103,22 +103,23 @@ func TestBoundaryAddSignedAcrossWords(t *testing.T) {
 		for _, i := range idx {
 			d[i] = 1
 		}
+		m := NewMove(d)
 		v := New(n)
-		got, ok := v.AddSigned(d)
+		got, ok := v.Apply(&m, true)
 		if !ok || got.OnesCount() != len(idx) {
-			t.Fatalf("n=%d: AddSigned(+edges) ok=%v count=%d want %d", n, ok, got.OnesCount(), len(idx))
+			t.Fatalf("n=%d: v+edges ok=%v count=%d want %d", n, ok, got.OnesCount(), len(idx))
 		}
 		// Subtracting the same move returns to zero; subtracting from zero
 		// is annihilated.
-		back, ok := got.SubSigned(d)
+		back, ok := got.Apply(&m, false)
 		if !ok || back.OnesCount() != 0 {
-			t.Fatalf("n=%d: SubSigned round trip failed", n)
+			t.Fatalf("n=%d: v+edges-edges round trip failed", n)
 		}
-		if _, ok := v.SubSigned(d); ok {
-			t.Fatalf("n=%d: SubSigned on zero vector should annihilate", n)
+		if _, ok := v.Apply(&m, false); ok {
+			t.Fatalf("n=%d: subtracting from the zero vector should annihilate", n)
 		}
-		if _, ok := got.AddSigned(d); ok {
-			t.Fatalf("n=%d: AddSigned onto set bits should annihilate", n)
+		if _, ok := got.Apply(&m, true); ok {
+			t.Fatalf("n=%d: adding onto set bits should annihilate", n)
 		}
 	}
 }

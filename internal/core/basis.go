@@ -78,8 +78,10 @@ func vecKey(u []int64) string {
 // the input is not modified.
 func Simplify(basis [][]int64) [][]int64 {
 	out := make([][]int64, len(basis))
+	nnz := make([]int, len(basis))
 	for i, u := range basis {
 		out[i] = append([]int64(nil), u...)
+		nnz[i] = NonZero(u)
 	}
 	const maxPasses = 10
 	for pass := 0; pass < maxPasses; pass++ {
@@ -89,18 +91,17 @@ func Simplify(basis [][]int64) [][]int64 {
 				if i == j {
 					continue
 				}
-				add := make([]int64, len(out[i]))
-				sub := make([]int64, len(out[i]))
-				for k := range out[i] {
-					add[k] = out[i][k] + out[j][k]
-					sub[k] = out[i][k] - out[j][k]
-				}
-				if IsTernary(add) && NonZero(add) < NonZero(out[i]) {
-					out[i] = add
+				// Both candidates combine u_i as it was before this pair;
+				// the difference is tested against the support left by a
+				// possible sum replacement, in the original loop's order.
+				ui, uj := out[i], out[j]
+				addNZ, subNZ, addOK, subOK := pairSupport(ui, uj)
+				if addOK && addNZ < nnz[i] {
+					out[i], nnz[i] = combine(ui, uj, 1), addNZ
 					improved = true
 				}
-				if IsTernary(sub) && NonZero(sub) < NonZero(out[i]) {
-					out[i] = sub
+				if subOK && subNZ < nnz[i] {
+					out[i], nnz[i] = combine(ui, uj, -1), subNZ
 					improved = true
 				}
 			}
@@ -108,6 +109,41 @@ func Simplify(basis [][]int64) [][]int64 {
 		if !improved {
 			break
 		}
+	}
+	return out
+}
+
+// pairSupport reports, in one pass and without allocating, whether u+w
+// and u−w are valid transition vectors (IsTernary) and their nonzero
+// counts. The counts are meaningful only when the matching flag is true.
+func pairSupport(u, w []int64) (addNZ, subNZ int, addOK, subOK bool) {
+	addOK, subOK = true, true
+	for k, a := range u {
+		b := w[k]
+		switch s := a + b; {
+		case s < -1 || s > 1:
+			addOK = false
+		case s != 0:
+			addNZ++
+		}
+		switch d := a - b; {
+		case d < -1 || d > 1:
+			subOK = false
+		case d != 0:
+			subNZ++
+		}
+		if !addOK && !subOK {
+			break
+		}
+	}
+	return addNZ, subNZ, addOK && addNZ > 0, subOK && subNZ > 0
+}
+
+// combine returns u + sign·w as a new vector.
+func combine(u, w []int64, sign int64) []int64 {
+	out := make([]int64, len(u))
+	for k := range out {
+		out[k] = u[k] + sign*w[k]
 	}
 	return out
 }
@@ -305,7 +341,7 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 	if !opts.DisableSimplify {
 		simplifiedOnly := collect(work)
 		if len(simplifiedOnly) > 0 && len(simplifiedOnly) < len(union) {
-			if closureSize(p, simplifiedOnly, basisClosureCap) == closureSize(p, union, basisClosureCap) {
+			if problems.FeasibleClosureSize(p, simplifiedOnly, basisClosureCap) == problems.FeasibleClosureSize(p, union, basisClosureCap) {
 				pool = simplifiedOnly
 			}
 		}
@@ -329,11 +365,15 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 		// on instances that need the fallback.
 		//
 		// The support bound is deepened iteratively, measuring the
-		// feasible-graph closure of each level's pool: small-support
+		// feasible-graph closure of each level's pool, so small-support
 		// circuits are enumerated exhaustively before any vector cap can
-		// bite, and the search stops once two consecutive deepenings add
-		// no reachability (compound moves beyond that support do not
-		// exist or do not help).
+		// bite; the level with the largest closure wins. Compound moves
+		// (e.g. color swaps) can appear many support levels above the
+		// basic circuits, so the ladder does not stop at the first
+		// plateau. It stops when the best closure reaches the cap or
+		// covers the whole feasible set: the closure of a feasible seed
+		// under kernel moves never leaves that set, so no deeper level
+		// can strictly improve on it and bestPool is final.
 		b.UsedTernarySearch = true
 		search := opts.Search
 		bound := search.MaxSupport
@@ -343,24 +383,23 @@ func BuildBasis(p *problems.Problem, opts BasisOptions) (*Basis, error) {
 		if search.MaxVectors == 0 {
 			search.MaxVectors = 2048
 		}
+		limit := basisClosureCap
+		if p.N <= coverageEnumMaxN && p.Feasible(p.Init) {
+			limit = len(problems.EnumerateFeasible(p, basisClosureCap))
+		}
 		var bestPool [][]int64
 		bestClosure := 0
 		for sup := 2; sup <= bound; sup++ {
 			s := search
 			s.MaxSupport = sup
 			cand := collect(TernaryKernelVectors(p.C, s))
-			cl := closureSize(p, cand, basisClosureCap)
+			cl := problems.FeasibleClosureSize(p, cand, basisClosureCap)
 			if cl > bestClosure {
 				bestClosure, bestPool = cl, cand
 			}
-			if bestClosure >= basisClosureCap {
+			if bestClosure >= limit {
 				break
 			}
-			// Compound moves (e.g. color swaps) can appear many support
-			// levels above the basic circuits, so the ladder runs to the
-			// bound rather than stopping at the first plateau; the
-			// instances that reach this path are small enough that the
-			// full deepening stays cheap.
 		}
 		if len(bestPool) > 0 {
 			pool = bestPool
@@ -405,10 +444,7 @@ func enrichSparsePairs(pool [][]int64, maxSupport, maxNew int) [][]int64 {
 	for i := 0; i < len(sparse) && len(out) < maxNew; i++ {
 		for j := i + 1; j < len(sparse) && len(out) < maxNew; j++ {
 			for _, sign := range []int64{1, -1} {
-				w := make([]int64, len(sparse[i]))
-				for k := range w {
-					w[k] = sparse[i][k] + sign*sparse[j][k]
-				}
+				w := combine(sparse[i], sparse[j], sign)
 				if !IsTernary(w) || NonZero(w) > maxSupport {
 					continue
 				}
@@ -429,11 +465,10 @@ func enrichSparsePairs(pool [][]int64, maxSupport, maxNew int) [][]int64 {
 // states than any schedule will track).
 const basisClosureCap = 20000
 
-// closureSize runs the feasible-graph BFS closure of the pool from the
-// seed, capped at maxStates, and returns the number of reached states.
-func closureSize(p *problems.Problem, pool [][]int64, maxStates int) int {
-	return len(problems.FeasibleBFS(p, pool, maxStates))
-}
+// coverageEnumMaxN is the widest instance whose feasible set is counted
+// exhaustively, by VerifyCoverage and by the ternary-search ladder's stop
+// rule.
+const coverageEnumMaxN = 24
 
 // CoverageReport is the diagnostic BuildBasis users run to confirm
 // Theorem 1 holds for their formulation: the number of feasible states
@@ -458,8 +493,8 @@ func VerifyCoverage(p *problems.Problem, opts BasisOptions) (CoverageReport, err
 		return CoverageReport{}, err
 	}
 	rep := CoverageReport{Total: -1}
-	rep.Reached = len(problems.FeasibleBFS(p, basis.Vectors, basisClosureCap))
-	if p.N <= 24 {
+	rep.Reached = problems.FeasibleClosureSize(p, basis.Vectors, basisClosureCap)
+	if p.N <= coverageEnumMaxN {
 		rep.Total = len(problems.EnumerateFeasible(p, 0))
 		rep.Complete = rep.Reached == rep.Total
 	}
@@ -469,19 +504,19 @@ func VerifyCoverage(p *problems.Problem, opts BasisOptions) (CoverageReport, err
 // expansionReach dry-runs `rounds` rounds of the pool over the feasible
 // graph from the seed and returns how many states become reachable.
 func expansionReach(p *problems.Problem, pool [][]int64, rounds int) int {
+	moves := bitvec.NewMoves(pool)
 	reach := map[bitvec.Vec]bool{p.Init: true}
 	for r := 0; r < rounds; r++ {
-		var frontier []bitvec.Vec
+		frontier := make([]bitvec.Vec, 0, len(reach))
 		for x := range reach {
 			frontier = append(frontier, x)
 		}
 		for _, x := range frontier {
-			for _, u := range pool {
-				if y, ok := x.AddSigned(u); ok && !reach[y] {
-					reach[y] = true
-				}
-				if y, ok := x.SubSigned(u); ok && !reach[y] {
-					reach[y] = true
+			for i := range moves {
+				for _, fwd := range [2]bool{true, false} {
+					if y, ok := x.Apply(&moves[i], fwd); ok {
+						reach[y] = true
+					}
 				}
 			}
 		}

@@ -33,6 +33,24 @@ func BenchmarkBuildBasisGCPSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildBasisSCP3 builds the ten S3 bases that dominate basis
+// time in the scale-1–3 pool: each takes the ternary-search support
+// ladder, where every level measures a closure of its candidate pool.
+func BenchmarkBuildBasisSCP3(b *testing.B) {
+	var ps []*problems.Problem
+	for _, c := range []int{8, 11, 14, 21, 22, 23, 46, 47, 55, 61} {
+		ps = append(ps, problems.SCP(3, c))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range ps {
+			if _, err := BuildBasis(p, BasisOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkBuildSchedule(b *testing.B) {
 	p := problems.SCP(3, 0)
 	basis, err := BuildBasis(p, BasisOptions{})

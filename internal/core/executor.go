@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -605,7 +606,7 @@ func sortedDistKeys(d map[bitvec.Vec]float64) []bitvec.Vec {
 	for k := range d {
 		out = append(out, k)
 	}
-	sortVecs(out)
+	slices.SortFunc(out, bitvec.Vec.Compare)
 	return out
 }
 
@@ -614,6 +615,6 @@ func sortedCountKeys(d map[bitvec.Vec]int) []bitvec.Vec {
 	for k := range d {
 		out = append(out, k)
 	}
-	sortVecs(out)
+	slices.SortFunc(out, bitvec.Vec.Compare)
 	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rasengan/internal/bitvec"
 	"rasengan/internal/problems"
 )
@@ -96,18 +98,20 @@ func BuildSchedule(p *problems.Problem, b *Basis, opts ScheduleOptions) *Schedul
 	}
 
 	sched := &Schedule{}
+	moves := bitvec.NewMoves(pool)
 	reach := map[bitvec.Vec]bool{p.Init: true}
 	reachPruned := map[bitvec.Vec]bool{p.Init: true}
 	consecutiveNoop := 0
 
 	if opts.SparsestFirst {
-		buildSparsestFirst(sched, p, pool, maxOps, maxStates)
+		buildSparsestFirst(sched, p, pool, moves, maxOps, maxStates)
 		return sched
 	}
 
 buildLoop:
 	for r := 0; r < rounds; r++ {
-		for _, u := range pool {
+		for k, u := range pool {
+			m := &moves[k]
 			if len(sched.AllOps) >= maxOps {
 				break buildLoop
 			}
@@ -117,14 +121,14 @@ buildLoop:
 			}
 			tr := Transition{U: u}
 			sched.AllOps = append(sched.AllOps, tr)
-			expandInto(reach, u)
+			expandInto(reach, m)
 			sched.TraceAll = append(sched.TraceAll, len(reach))
 
 			// Pruning decision against the pruned-path reachability.
-			grew := expandCount(reachPruned, u)
+			grew := expandCount(reachPruned, m)
 			if opts.DisablePrune {
 				sched.Ops = append(sched.Ops, tr)
-				applyExpand(reachPruned, u)
+				expandInto(reachPruned, m)
 				sched.TraceOps = append(sched.TraceOps, len(reachPruned))
 				continue
 			}
@@ -139,7 +143,7 @@ buildLoop:
 			}
 			consecutiveNoop = 0
 			sched.Ops = append(sched.Ops, tr)
-			applyExpand(reachPruned, u)
+			expandInto(reachPruned, m)
 			sched.TraceOps = append(sched.TraceOps, len(reachPruned))
 		}
 	}
@@ -147,7 +151,7 @@ buildLoop:
 	for x := range reachPruned {
 		sched.Reachable = append(sched.Reachable, x)
 	}
-	sortVecs(sched.Reachable)
+	slices.SortFunc(sched.Reachable, bitvec.Vec.Compare)
 	return sched
 }
 
@@ -155,18 +159,18 @@ buildLoop:
 // the (nnz-sorted) pool from the sparsest vector and apply the first one
 // that expands the reach, then rescan from the start; stop when no vector
 // expands or a budget trips.
-func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, maxOps, maxStates int) {
+func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, moves []bitvec.Move, maxOps, maxStates int) {
 	reach := map[bitvec.Vec]bool{p.Init: true}
 	for len(sched.Ops) < maxOps && len(reach) < maxStates {
 		applied := false
-		for _, u := range pool {
-			if expandCount(reach, u) == 0 {
+		for k, u := range pool {
+			if expandCount(reach, &moves[k]) == 0 {
 				continue
 			}
 			tr := Transition{U: u}
 			sched.Ops = append(sched.Ops, tr)
 			sched.AllOps = append(sched.AllOps, tr)
-			applyExpand(reach, u)
+			expandInto(reach, &moves[k])
 			sched.TraceOps = append(sched.TraceOps, len(reach))
 			sched.TraceAll = append(sched.TraceAll, len(reach))
 			applied = true
@@ -182,18 +186,17 @@ func buildSparsestFirst(sched *Schedule, p *problems.Problem, pool [][]int64, ma
 	for x := range reach {
 		sched.Reachable = append(sched.Reachable, x)
 	}
-	sortVecs(sched.Reachable)
+	slices.SortFunc(sched.Reachable, bitvec.Vec.Compare)
 }
 
 // expandInto adds every state reachable from the set by one ±u move.
-func expandInto(reach map[bitvec.Vec]bool, u []int64) {
+func expandInto(reach map[bitvec.Vec]bool, m *bitvec.Move) {
 	var add []bitvec.Vec
 	for x := range reach {
-		if y, ok := x.AddSigned(u); ok && !reach[y] {
-			add = append(add, y)
-		}
-		if y, ok := x.SubSigned(u); ok && !reach[y] {
-			add = append(add, y)
+		for _, fwd := range [2]bool{true, false} {
+			if y, ok := x.Apply(m, fwd); ok && !reach[y] {
+				add = append(add, y)
+			}
 		}
 	}
 	for _, y := range add {
@@ -201,28 +204,20 @@ func expandInto(reach map[bitvec.Vec]bool, u []int64) {
 	}
 }
 
-// expandCount reports how many new states one ±u move would add.
-func expandCount(reach map[bitvec.Vec]bool, u []int64) int {
-	seen := map[bitvec.Vec]bool{}
+// expandCount reports how many new states one ±u move would add. Every
+// valid move lands on a distinct state — x ↦ x+u and x ↦ x−u are
+// injective, and x+u = x'−u would need x' = x+2u, which is not binary for
+// u ≠ 0 — so counting the moves that leave the set needs no set of its own.
+func expandCount(reach map[bitvec.Vec]bool, m *bitvec.Move) int {
+	n := 0
 	for x := range reach {
-		if y, ok := x.AddSigned(u); ok && !reach[y] {
-			seen[y] = true
-		}
-		if y, ok := x.SubSigned(u); ok && !reach[y] {
-			seen[y] = true
-		}
-	}
-	return len(seen)
-}
-
-func applyExpand(reach map[bitvec.Vec]bool, u []int64) { expandInto(reach, u) }
-
-func sortVecs(v []bitvec.Vec) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j].Compare(v[j-1]) < 0; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
+		for _, fwd := range [2]bool{true, false} {
+			if y, ok := x.Apply(m, fwd); ok && !reach[y] {
+				n++
+			}
 		}
 	}
+	return n
 }
 
 // CoverageFraction returns, for a dry-run trace, the fraction of the

@@ -2,7 +2,7 @@ package problems
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rasengan/internal/bitvec"
 )
@@ -136,42 +136,50 @@ func referenceFrom(p *Problem, feas []bitvec.Vec) Reference {
 // the seed solution using signed moves along the homogeneous basis — the
 // classical counterpart of the transition-Hamiltonian expansion, and the
 // reference enumerator for instances too wide for exhaustive search (it
-// scales with the number of feasible solutions, not 2^n). maxStates > 0
-// caps the search.
+// scales with the number of feasible solutions, not 2^n). Basis entries
+// must lie in {-1,0,1}. maxStates > 0 caps the search. The states are
+// returned sorted by bitvec.Compare.
 func FeasibleBFS(p *Problem, basis [][]int64, maxStates int) []bitvec.Vec {
-	seen := map[bitvec.Vec]bool{p.Init: true}
+	seen := feasibleClosure(p, basis, maxStates)
+	out := make([]bitvec.Vec, 0, len(seen))
+	for v := range seen {
+		out = append(out, v)
+	}
+	slices.SortFunc(out, bitvec.Vec.Compare)
+	return out
+}
+
+// FeasibleClosureSize is len(FeasibleBFS(p, basis, maxStates)) without
+// materializing or sorting the states.
+func FeasibleClosureSize(p *Problem, basis [][]int64, maxStates int) int {
+	return len(feasibleClosure(p, basis, maxStates))
+}
+
+// feasibleClosure is the BFS of FeasibleBFS: every basis vector is
+// compiled to a bitvec.Move once, and the search stops as soon as
+// maxStates > 0 states are known.
+func feasibleClosure(p *Problem, basis [][]int64, maxStates int) map[bitvec.Vec]struct{} {
+	moves := bitvec.NewMoves(basis)
+	seen := map[bitvec.Vec]struct{}{p.Init: {}}
 	queue := []bitvec.Vec{p.Init}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, u := range basis {
-			for _, dir := range []int{1, -1} {
-				var y bitvec.Vec
-				var ok bool
-				if dir == 1 {
-					y, ok = x.AddSigned(u)
-				} else {
-					y, ok = x.SubSigned(u)
-				}
-				if !ok || seen[y] {
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		for i := range moves {
+			for _, fwd := range [2]bool{true, false} {
+				y, ok := x.Apply(&moves[i], fwd)
+				if !ok {
 					continue
 				}
-				seen[y] = true
+				if _, dup := seen[y]; dup {
+					continue
+				}
+				seen[y] = struct{}{}
 				queue = append(queue, y)
 				if maxStates > 0 && len(seen) >= maxStates {
-					return sortedKeys(seen)
+					return seen
 				}
 			}
 		}
 	}
-	return sortedKeys(seen)
-}
-
-func sortedKeys(m map[bitvec.Vec]bool) []bitvec.Vec {
-	out := make([]bitvec.Vec, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	return seen
 }

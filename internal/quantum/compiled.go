@@ -66,9 +66,9 @@ type CompiledSpace struct {
 	states []bitvec.Vec         // sorted by bitvec.Compare; index == rank
 	index  map[bitvec.Vec]int32 // inverse of states
 	opRow  []int32              // schedule op -> row in partners (-1: all-zero op)
-	// distinct holds the schedule's distinct transition vectors and negated
-	// their negations; spaces derived from this one share both.
-	distinct, negated [][]int64
+	// moves holds the schedule's distinct transition vectors, compiled;
+	// spaces derived from this one share them.
+	moves []bitvec.Move
 	// partners[r][i] encodes state i's role under distinct vector r:
 	// 0 — fixed point (no valid partner in either direction);
 	// +(j+1) — i is the lower pair member, partner j = i+u;
@@ -126,14 +126,7 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 		}
 		opRow[i] = r
 	}
-	negated := make([][]int64, len(distinct))
-	for r, u := range distinct {
-		negated[r] = make([]int64, n)
-		for j, v := range u {
-			negated[r][j] = -v
-		}
-	}
-	tmpl := &CompiledSpace{n: n, opRow: opRow, distinct: distinct, negated: negated}
+	tmpl := &CompiledSpace{n: n, opRow: opRow, moves: bitvec.NewMoves(distinct)}
 	return tmpl.Derive([]bitvec.Vec{init}, maxStates)
 }
 
@@ -166,17 +159,13 @@ func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpa
 	for len(frontier) > 0 {
 		var next []bitvec.Vec
 		for _, x := range frontier {
-			for r, u := range cs.distinct {
-				if y, ok := x.AddSigned(u); ok {
-					if _, seen := reach[y]; !seen {
-						reach[y] = struct{}{}
-						next = append(next, y)
-					}
-				}
-				if y, ok := x.AddSigned(cs.negated[r]); ok {
-					if _, seen := reach[y]; !seen {
-						reach[y] = struct{}{}
-						next = append(next, y)
+			for r := range cs.moves {
+				for _, fwd := range [2]bool{true, false} {
+					if y, ok := x.Apply(&cs.moves[r], fwd); ok {
+						if _, seen := reach[y]; !seen {
+							reach[y] = struct{}{}
+							next = append(next, y)
+						}
 					}
 				}
 			}
@@ -186,17 +175,16 @@ func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpa
 		}
 		frontier = next
 	}
-	if len(cs.distinct) > 0 && len(reach)*len(cs.distinct) > compiledPairBudget {
+	if len(cs.moves) > 0 && len(reach)*len(cs.moves) > compiledPairBudget {
 		return nil, false
 	}
 
 	out := &CompiledSpace{
-		n:        cs.n,
-		states:   make([]bitvec.Vec, 0, len(reach)),
-		index:    make(map[bitvec.Vec]int32, len(reach)),
-		opRow:    cs.opRow,
-		distinct: cs.distinct,
-		negated:  cs.negated,
+		n:      cs.n,
+		states: make([]bitvec.Vec, 0, len(reach)),
+		index:  make(map[bitvec.Vec]int32, len(reach)),
+		opRow:  cs.opRow,
+		moves:  cs.moves,
 	}
 	for x := range reach {
 		out.states = append(out.states, x)
@@ -209,18 +197,19 @@ func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpa
 		out.index[x] = int32(i)
 	}
 
-	out.partners = make([][]int32, len(cs.distinct))
-	for r, u := range cs.distinct {
+	out.partners = make([][]int32, len(cs.moves))
+	for r := range cs.moves {
+		m := &cs.moves[r]
 		row := make([]int32, len(out.states))
 		for i, x := range out.states {
-			if y, ok := x.AddSigned(u); ok {
+			if y, ok := x.Apply(m, true); ok {
 				j, in := out.index[y]
 				if !in {
 					return nil, false // closure violated; unreachable by construction
 				}
 				row[i] = j + 1
 				out.pairs++
-			} else if y, ok := x.AddSigned(cs.negated[r]); ok {
+			} else if y, ok := x.Apply(m, false); ok {
 				j, in := out.index[y]
 				if !in {
 					return nil, false

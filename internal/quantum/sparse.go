@@ -198,25 +198,26 @@ func (s *Sparse) ApplyTransition(u []int64, t float64) {
 		// degenerate case as a no-op.
 		return
 	}
+	m := bitvec.NewMove(u)
 	ct := complex(math.Cos(t), 0)
 	st := complex(0, math.Sin(t))
 	// Pairs under a fixed u are disjoint: a state with 0s at every +1
-	// position cannot also have 1s there, so AddSigned and SubSigned can
-	// never both succeed. Each pair is processed once, from its lower
-	// member when that member has stored amplitude and from the upper
-	// member otherwise — no visited-set allocation needed. Amplitudes are
-	// written directly (zeros kept, pruned below) so the partner-presence
-	// check stays valid throughout the pass.
+	// position cannot also have 1s there, so x+u and x-u can never both be
+	// valid. Each pair is processed once, from its lower member when that
+	// member has stored amplitude and from the upper member otherwise — no
+	// visited-set allocation needed. Amplitudes are written directly (zeros
+	// kept, pruned below) so the partner-presence check stays valid
+	// throughout the pass.
 	s.scratch = s.scratch[:0]
 	for k := range s.amps {
 		s.scratch = append(s.scratch, k)
 	}
 	for _, x := range s.scratch {
-		if y, ok := x.AddSigned(u); ok {
+		if y, ok := x.Apply(&m, true); ok {
 			a, b := s.amps[x], s.amps[y]
 			s.amps[x] = ct*a - st*b
 			s.amps[y] = ct*b - st*a
-		} else if y, ok := x.SubSigned(u); ok {
+		} else if y, ok := x.Apply(&m, false); ok {
 			if _, seen := s.amps[y]; !seen {
 				b := s.amps[x]
 				s.amps[y] = -st * b
