@@ -172,17 +172,9 @@ func main() {
 		fmt.Printf("  segment %d: depth %d\n", i+1, d)
 	}
 
-	if exec.EngineUsed == core.EngineCompiled {
-		states, distinct, pairs := exec.CompiledSpaceStats()
-		fmt.Printf("\nengine: compiled (%d states, %d distinct operators, %d rotation pairs)\n",
-			states, distinct, pairs)
-	} else {
-		fmt.Printf("\nengine: map")
-		if exec.EngineFallbackReason != "" {
-			fmt.Printf(" (fallback: %s)", exec.EngineFallbackReason)
-		}
-		fmt.Println()
-	}
+	states, distinct, pairs := exec.CompiledSpaceStats()
+	fmt.Printf("\nengine: compiled (%d states, %d distinct operators, %d rotation pairs)\n",
+		states, distinct, pairs)
 
 	if rec != nil {
 		if err := rec.WriteChromeTraceFile(*traceFile); err != nil {

@@ -135,8 +135,8 @@ func benchRunEnergy(b *testing.B, p *problems.Problem, engine string, opts ExecO
 	if err != nil {
 		b.Fatal(err)
 	}
-	if exec.EngineUsed != engine {
-		b.Fatalf("engine %q fell back to %q: %s", engine, exec.EngineUsed, exec.EngineFallbackReason)
+	if (exec.plan == nil) != opts.ForceMapEngine {
+		b.Fatalf("engine %q: compiled plan present = %v", engine, exec.plan != nil)
 	}
 	times := make([]float64, exec.NumParams())
 	for i := range times {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,26 +16,28 @@ import (
 	"rasengan/internal/transpile"
 )
 
-// Engine names reported by Executor.EngineUsed and the per-segment span
-// attribute. Both engines perform the same pairing arithmetic, noise
-// channels and reductions in the same order (including the amplitude
-// prune), so results — distributions, samples, energies — are
-// bit-identical; which one runs is a pure performance matter and never
-// enters the canonical options fingerprint.
+// Engine names carried by the per-segment span attribute. Both engines
+// perform the same pairing arithmetic, noise channels and reductions in the
+// same order (including the amplitude prune), so results — distributions,
+// samples, energies — are bit-identical; which one runs never enters the
+// canonical options fingerprint.
 const (
 	// EngineMap is the map-based Sparse simulator: no compile step and no
-	// subspace size limit. It runs when the subspace exceeds the compile
-	// budget, and as the verification oracle when
-	// ExecOptions.ForceMapEngine selects it.
+	// subspace size limit. It runs as the verification oracle when
+	// ExecOptions.ForceMapEngine selects it; otherwise only noisy
+	// trajectories past the excursion budget finish on it.
 	EngineMap = "map"
 	// EngineCompiled enumerates the reachable feasible subspace once at
 	// executor construction and runs flat-array transition kernels with
-	// zero steady-state allocations, on ideal and noisy devices alike. It
-	// is the default; executors fall back to EngineMap only when the
-	// subspace exceeds the compile budget (see
-	// Executor.EngineFallbackReason).
+	// zero steady-state allocations, on ideal and noisy devices alike.
 	EngineCompiled = "compiled"
 )
+
+// ErrSubspaceTooLarge matches (errors.Is) the error NewExecutor returns
+// when the closure of the seed solution under the schedule exceeds the
+// compile budget (quantum.DefaultCompiledMaxStates states, or 2^23
+// state·operator pairs); the error text carries both counts.
+var ErrSubspaceTooLarge = errors.New("core: reachable subspace exceeds the compile budget")
 
 // compiledPlan is the executor-wide compile artifact of the compiled engine:
 // the enumerated subspace plus flat per-state feasibility and
@@ -74,6 +77,9 @@ type compiledRT struct {
 	// st holds the running trajectory; alt receives it when a noise branch
 	// moves it to another space (the two swap).
 	st, alt *quantum.CompiledState
+	// rot holds each operator's (cos t, i·sin t) for the current run, so
+	// the trigonometry is paid once per operator, not once per state.
+	rot     []rotation
 	distIn  flatDist
 	distOut flatDist
 	counts  []int
@@ -86,24 +92,21 @@ type compiledRT struct {
 	lastDistValid bool
 }
 
-// compileEngine attempts to select the compiled engine for this executor,
-// setting plan/EngineUsed on success and EngineFallbackReason otherwise.
-// Called from NewExecutor after segmentation.
-func (e *Executor) compileEngine() {
+// rotation is one operator's precomputed (cos t, i·sin t).
+type rotation struct{ c, s complex128 }
+
+// compileEngine builds the executor's compiled plan. Called from
+// NewExecutor after segmentation.
+func (e *Executor) compileEngine() error {
 	us := make([][]int64, len(e.ops))
 	for i := range e.ops {
 		us[i] = e.ops[i].U
 	}
-	space, ok := quantum.CompileSpace(e.p.Init, us, 0)
-	if !ok {
-		e.EngineFallbackReason = "reachable subspace exceeds the compile budget"
-		return
+	space, err := quantum.CompileSpace(e.p.Init, us, 0)
+	if err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrSubspaceTooLarge, e.p.Name, err)
 	}
-	initIdx, ok := space.IndexOf(e.p.Init)
-	if !ok {
-		e.EngineFallbackReason = "seed solution missing from compiled subspace"
-		return
-	}
+	initIdx, _ := space.IndexOf(e.p.Init) // the seed is always in its closure
 	plan := &compiledPlan{
 		space:    space,
 		feasible: make([]bool, space.Size()),
@@ -119,7 +122,7 @@ func (e *Executor) compileEngine() {
 		plan.exc = newExcursions(space)
 	}
 	e.plan = plan
-	e.EngineUsed = EngineCompiled
+	return nil
 }
 
 // rt returns this clone's compiled runtime, allocating it on first use.
@@ -129,6 +132,7 @@ func (e *Executor) rt() *compiledRT {
 		e.crt = &compiledRT{
 			st:      e.plan.space.NewState(),
 			alt:     e.plan.space.NewState(),
+			rot:     make([]rotation, len(e.ops)),
 			distIn:  flatDist{flat: make([]float64, n)},
 			distOut: flatDist{flat: make([]float64, n)},
 			counts:  make([]int, n),
@@ -155,6 +159,9 @@ func (e *Executor) runCompiled(ctx context.Context, t []float64, rng *rand.Rand)
 	e.LastTerminatedEarly = false
 
 	rt := e.rt()
+	for op, th := range t {
+		rt.rot[op] = rotation{complex(math.Cos(th), 0), complex(0, math.Sin(th))}
+	}
 	in, out := &rt.distIn, &rt.distOut
 	clear(in.flat)
 	in.extra = in.extra[:0]
@@ -220,7 +227,7 @@ func (e *Executor) runCompiledSegmentExact(ctx context.Context, seg []int, t []f
 	for i := range out {
 		out[i] = 0
 	}
-	st := e.crt.st
+	st, rot := e.crt.st, e.crt.rot
 	for xi, w := range in {
 		if w == 0 {
 			continue
@@ -230,7 +237,7 @@ func (e *Executor) runCompiledSegmentExact(ctx context.Context, seg []int, t []f
 		}
 		st.Reset(int32(xi))
 		for _, op := range seg {
-			st.ApplyTransition(op, t[op])
+			st.ApplyRotation(op, rot[op].c, rot[op].s)
 		}
 		mark := e.spans.Now()
 		for _, yi := range st.SortedActive() {
@@ -414,7 +421,7 @@ func (tj *trajectory) transition(op int, t float64) {
 		tj.sp.ApplyTransition(tj.e.ops[op].U, t)
 		return
 	}
-	tj.rt.st.ApplyTransition(op, t)
+	tj.rt.st.ApplyRotation(op, tj.rt.rot[op].c, tj.rt.rot[op].s)
 }
 
 // noise applies operator op's noise channel, drawing from rng exactly as
@@ -744,17 +751,8 @@ func (e *Executor) LastDistribution() map[bitvec.Vec]float64 {
 	return e.lastGoodDist
 }
 
-// CompiledSpaceSize reports the number of basis states in the compiled
-// subspace (0 when the map engine is active) — surfaced by rasengan-inspect.
-func (e *Executor) CompiledSpaceSize() int {
-	if e.plan == nil {
-		return 0
-	}
-	return e.plan.space.Size()
-}
-
 // CompiledSpaceStats returns (states, distinct operators, transition pairs)
-// of the compile artifact, all zero when the map engine is active.
+// of the compile artifact, all zero under ForceMapEngine.
 func (e *Executor) CompiledSpaceStats() (states, distinctOps, pairs int) {
 	if e.plan == nil {
 		return 0, 0, 0

@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"rasengan/internal/bitvec"
 	"rasengan/internal/device"
+	"rasengan/internal/linalg"
 	"rasengan/internal/problems"
 	"rasengan/internal/quantum"
 )
@@ -28,11 +31,11 @@ func enginePair(t *testing.T, p *problems.Problem, opts ExecOptions) (mapEx, com
 	if compEx, err = NewExecutor(p, ops, opts); err != nil {
 		t.Fatal(err)
 	}
-	if mapEx.EngineUsed != EngineMap {
-		t.Fatalf("map executor reports engine %q", mapEx.EngineUsed)
+	if mapEx.plan != nil {
+		t.Fatal("ForceMapEngine executor holds a compiled plan")
 	}
-	if compEx.EngineUsed != EngineCompiled {
-		t.Fatalf("compiled executor fell back to %q: %s", compEx.EngineUsed, compEx.EngineFallbackReason)
+	if compEx.plan == nil {
+		t.Fatal("default executor has no compiled plan")
 	}
 	return mapEx, compEx
 }
@@ -109,7 +112,11 @@ func TestRunEnergyMatchesDistribution(t *testing.T) {
 	for i := range times {
 		times[i] = 0.8
 	}
-	for _, ex := range []*Executor{mapEx, compEx} {
+	for _, eng := range []struct {
+		name string
+		ex   *Executor
+	}{{EngineMap, mapEx}, {EngineCompiled, compEx}} {
+		ex := eng.ex
 		dist, err := ex.Run(times, rand.New(rand.NewSource(5)))
 		if err != nil {
 			t.Fatal(err)
@@ -123,24 +130,47 @@ func TestRunEnergyMatchesDistribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("engine %s: RunEnergy %v vs expected score %v", ex.EngineUsed, got, want)
+			t.Fatalf("engine %s: RunEnergy %v vs expected score %v", eng.name, got, want)
 		}
 		last := ex.LastDistribution()
 		if len(last) != len(dist) {
-			t.Fatalf("engine %s: LastDistribution support %d vs %d", ex.EngineUsed, len(last), len(dist))
+			t.Fatalf("engine %s: LastDistribution support %d vs %d", eng.name, len(last), len(dist))
 		}
 		for x, v := range dist {
 			if last[x] != v {
-				t.Fatalf("engine %s: LastDistribution[%v] = %v, want %v", ex.EngineUsed, x, last[x], v)
+				t.Fatalf("engine %s: LastDistribution[%v] = %v, want %v", eng.name, x, last[x], v)
 			}
 		}
 	}
 }
 
+// TestNewExecutorRejectsOversizedSubspace: a closure over the compile
+// budget is an error, not a silent switch of engine. Eighteen single-bit
+// transitions from the all-zero seed span the whole 2^18-state hypercube,
+// past the 2^17-state cap; the map engine, which has no cap, still builds.
+func TestNewExecutorRejectsOversizedSubspace(t *testing.T) {
+	const n = 18
+	p := &problems.Problem{Name: "hypercube18", N: n, C: linalg.NewIntMat(0, n), Init: bitvec.New(n)}
+	ops := make([]Transition, n)
+	for i := range ops {
+		ops[i].U = make([]int64, n)
+		ops[i].U[i] = 1
+	}
+	_, err := NewExecutor(p, ops, ExecOptions{})
+	if !errors.Is(err, ErrSubspaceTooLarge) {
+		t.Fatalf("NewExecutor error %v, want ErrSubspaceTooLarge", err)
+	}
+	if !strings.Contains(err.Error(), "hypercube18") || !strings.Contains(err.Error(), "pairs") {
+		t.Fatalf("error lacks the problem or the counts: %v", err)
+	}
+	if _, err := NewExecutor(p, ops, ExecOptions{ForceMapEngine: true}); err != nil {
+		t.Fatalf("map engine: %v", err)
+	}
+}
+
 // TestNoisyDeviceRunsCompiled: noise channels run on the compiled engine,
-// so a noisy device selects it without a fallback reason, like a noiseless
-// one; only ForceMapEngine selects the map engine, and it records no
-// fallback either.
+// so a noisy device gets a compiled plan like a noiseless one; only
+// ForceMapEngine leaves the executor without one.
 func TestNoisyDeviceRunsCompiled(t *testing.T) {
 	p := problems.FLP(1, 0)
 	ops := mustBasisAndSchedule(t, p)
@@ -149,19 +179,16 @@ func TestNoisyDeviceRunsCompiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ex.EngineUsed != EngineCompiled || ex.EngineFallbackReason != "" {
-			t.Fatalf("%s: engine %q, fallback %q", dev.Name, ex.EngineUsed, ex.EngineFallbackReason)
+		if ex.plan == nil {
+			t.Fatalf("%s: no compiled plan", dev.Name)
 		}
 	}
 	ex, err := NewExecutor(p, ops, ExecOptions{Device: device.Kyiv(), Shots: 64, ForceMapEngine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.EngineUsed != EngineMap {
-		t.Fatalf("ForceMapEngine ran engine %q", ex.EngineUsed)
-	}
-	if ex.EngineFallbackReason != "" {
-		t.Fatalf("ForceMapEngine recorded a fallback reason: %s", ex.EngineFallbackReason)
+	if ex.plan != nil {
+		t.Fatal("ForceMapEngine executor holds a compiled plan")
 	}
 }
 
@@ -327,8 +354,8 @@ func TestNoisyRunEnergyZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.EngineUsed != EngineCompiled {
-		t.Fatalf("noisy F3 ran engine %q: %s", ex.EngineUsed, ex.EngineFallbackReason)
+	if ex.plan == nil {
+		t.Fatal("noisy F3 executor has no compiled plan")
 	}
 	times := make([]float64, ex.NumParams())
 	for i := range times {
@@ -402,8 +429,8 @@ func TestCompiledRunCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.EngineUsed != EngineCompiled {
-		t.Fatalf("expected compiled engine, got %q", ex.EngineUsed)
+	if ex.plan == nil {
+		t.Fatal("default executor has no compiled plan")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

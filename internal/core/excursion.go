@@ -138,8 +138,8 @@ func (x *excursions) closure(seeds []bitvec.Vec) *spaceNode {
 	if left <= 0 {
 		return nil
 	}
-	cs, ok := x.root.space.Derive(seeds, left)
-	if !ok {
+	cs, err := x.root.space.Derive(seeds, left)
+	if err != nil {
 		return nil
 	}
 	n := &spaceNode{space: cs, home: make([]int32, cs.Size()), moves: make([]atomic.Pointer[excursion], 2*cs.NumQubits())}

@@ -50,11 +50,10 @@ type ExecOptions struct {
 	MaxShotsPerSegment int
 	// ForceMapEngine skips the compiled engine and runs the map-based
 	// Sparse simulator unconditionally. Without it the executor compiles
-	// the reachable feasible subspace, noisy devices included, and falls
-	// back to the map engine only when the subspace exceeds the compile
-	// budget. The engines are bit-identical, so the field is excluded from
-	// CanonicalOptionsJSON; it exists for the verification oracle and
-	// engine tests/benchmarks, which compare the two paths.
+	// the reachable feasible subspace, noisy devices included, or fails
+	// with ErrSubspaceTooLarge. The engines are bit-identical, so the field
+	// is excluded from CanonicalOptionsJSON; it exists for the verification
+	// oracle and engine tests/benchmarks, which compare the two paths.
 	ForceMapEngine bool
 }
 
@@ -155,18 +154,10 @@ type Executor struct {
 	LastSegmentsRun     int
 	LastTerminatedEarly bool
 
-	// EngineUsed is the engine actually selected at construction —
-	// EngineCompiled, or EngineMap (possibly as a fallback, see
-	// EngineFallbackReason).
-	EngineUsed string
-	// EngineFallbackReason explains why a requested/default compiled
-	// engine fell back to the map engine ("" when it did not).
-	EngineFallbackReason string
-
-	// plan is the compiled-engine artifact (nil when EngineUsed ==
-	// EngineMap); crt holds this clone's mutable flat buffers, lazily
-	// allocated and never shared across clones. lastGoodDist backs
-	// LastDistribution on the map path.
+	// plan is the compiled-engine artifact (nil iff ForceMapEngine); crt
+	// holds this clone's mutable flat buffers, lazily allocated and never
+	// shared across clones. lastGoodDist backs LastDistribution on the map
+	// path.
 	plan         *compiledPlan
 	crt          *compiledRT
 	lastGoodDist map[bitvec.Vec]float64
@@ -208,12 +199,14 @@ func (e *Executor) SetTelemetry(rec *obs.Recorder, track int32, parent obs.SpanI
 	e.spanRoot = parent
 }
 
-// NewExecutor compiles the schedule and fixes the segmentation.
+// NewExecutor compiles the schedule, fixes the segmentation and, unless
+// ForceMapEngine is set, compiles the reachable subspace; a subspace over
+// the compile budget fails with an error matching ErrSubspaceTooLarge.
 func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Executor, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("core: empty schedule for %s", p.Name)
 	}
-	e := &Executor{p: p, ops: ops, opts: opts, EngineUsed: EngineMap}
+	e := &Executor{p: p, ops: ops, opts: opts}
 
 	// Compile each distinct operator once (structure is t-independent).
 	e.stats = make([]opStats, len(ops))
@@ -292,7 +285,9 @@ func NewExecutor(p *problems.Problem, ops []Transition, opts ExecOptions) (*Exec
 		e.SegmentDepths = append(e.SegmentDepths, d)
 	}
 	if !opts.ForceMapEngine {
-		e.compileEngine()
+		if err := e.compileEngine(); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }

@@ -102,8 +102,8 @@ type TelemetryOptions struct {
 	// watchers read the cell, the solver never does.
 	Progress *obs.ProgressCell
 	// Events, when non-nil, receives flight-recorder events from inside
-	// the solve (engine fallback, lease renegotiation, checkpoint writes,
-	// recovered panics) with the scope's job correlation ids attached.
+	// the solve (lease renegotiation, checkpoint writes, recovered panics)
+	// with the scope's job correlation ids attached.
 	Events *obs.EventScope
 }
 
@@ -257,10 +257,6 @@ func Solve(ctx context.Context, p *problems.Problem, opts Options) (result *Resu
 	rec.End(sp)
 	if err != nil {
 		return nil, err
-	}
-	if exec.EngineFallbackReason != "" {
-		opts.Telemetry.Events.Event(obs.SevWarn, obs.EventEngineFallback,
-			exec.EngineUsed+": "+exec.EngineFallbackReason)
 	}
 	compileMS := float64(time.Since(compileStart).Microseconds()) / 1000
 	fault(FaultCompile)

@@ -5,19 +5,32 @@ import (
 	"sync"
 	"testing"
 
+	"rasengan/internal/device"
 	"rasengan/internal/parallel"
 	"rasengan/internal/problems"
 )
 
-// solveWithLimiter runs one reference solve configuration under the given
-// worker limiter.
-func solveWithLimiter(t *testing.T, lim parallel.Limiter) *Result {
+// limiterConfigs are the execution settings the lease tests solve FLP(1,0)
+// under: the ideal sampled path, and the noisy Kyiv configuration of
+// TestSolveDeterministicAcrossWorkers, whose trajectories also see the
+// lease renegotiated mid-solve.
+var limiterConfigs = []struct {
+	name string
+	exec ExecOptions
+}{
+	{"ideal", ExecOptions{Shots: 256, OpsPerSegment: 1}},
+	{"kyiv", ExecOptions{Shots: 256, OpsPerSegment: 1, Device: device.Kyiv(), Trajectories: 4}},
+}
+
+// solveWithLimiter runs one reference solve under the given execution
+// settings and worker limiter.
+func solveWithLimiter(t *testing.T, exec ExecOptions, lim parallel.Limiter) *Result {
 	t.Helper()
 	p := problems.FLP(1, 0)
 	res, err := Solve(context.Background(), p, Options{
 		MaxIter: 40,
 		Seed:    17,
-		Exec:    ExecOptions{Shots: 256, OpsPerSegment: 1},
+		Exec:    exec,
 		Workers: lim,
 	})
 	if err != nil {
@@ -61,15 +74,17 @@ func assertResultsIdentical(t *testing.T, label string, got, ref *Result) {
 // a serial limiter, and a wide limiter, because every parallel primitive
 // the solve touches is bit-identical at any width.
 func TestSolveDeterministicUnderWorkerLimiter(t *testing.T) {
-	ref := solveWithLimiter(t, nil)
-	for _, tc := range []struct {
-		label string
-		lim   parallel.Limiter
-	}{
-		{"Fixed(1)", parallel.Fixed(1)},
-		{"Fixed(8)", parallel.Fixed(8)},
-	} {
-		assertResultsIdentical(t, tc.label, solveWithLimiter(t, tc.lim), ref)
+	for _, cfg := range limiterConfigs {
+		ref := solveWithLimiter(t, cfg.exec, nil)
+		for _, tc := range []struct {
+			label string
+			lim   parallel.Limiter
+		}{
+			{"Fixed(1)", parallel.Fixed(1)},
+			{"Fixed(8)", parallel.Fixed(8)},
+		} {
+			assertResultsIdentical(t, cfg.name+"/"+tc.label, solveWithLimiter(t, cfg.exec, tc.lim), ref)
+		}
 	}
 }
 
@@ -94,14 +109,16 @@ func (f *flappingLimiter) Workers() int {
 // read — every iteration boundary picks up a different width — and the
 // result still matches the unlimited run bit for bit.
 func TestSolveDeterministicUnderFlappingLease(t *testing.T) {
-	ref := solveWithLimiter(t, nil)
-	lim := &flappingLimiter{}
-	assertResultsIdentical(t, "flapping", solveWithLimiter(t, lim), ref)
-	lim.mu.Lock()
-	reads := lim.reads
-	lim.mu.Unlock()
-	if reads == 0 {
-		t.Fatal("limiter was never consulted: lease plumbing is disconnected")
+	for _, cfg := range limiterConfigs {
+		ref := solveWithLimiter(t, cfg.exec, nil)
+		lim := &flappingLimiter{}
+		assertResultsIdentical(t, cfg.name+"/flapping", solveWithLimiter(t, cfg.exec, lim), ref)
+		lim.mu.Lock()
+		reads := lim.reads
+		lim.mu.Unlock()
+		if reads == 0 {
+			t.Fatalf("%s: limiter was never consulted: lease plumbing is disconnected", cfg.name)
+		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // Flight recorder: a bounded ring of structured operational events the
-// serving stack appends to at interesting moments (admission shed,
-// engine fallback, lease renegotiation, warm-start decisions,
-// checkpoint writes, recovered panics, WAL recovery, anomaly captures).
+// serving stack appends to at interesting moments (admission shed, lease
+// renegotiation, warm-start decisions, checkpoint writes, recovered
+// panics, WAL recovery, anomaly captures).
 // The ring holds the most recent N events — old ones fall off the far
 // end and are only counted — so an operator asking "why was that solve
 // slow?" can dump the recent window (/debug/events, rasengan-inspect
@@ -36,10 +36,6 @@ const (
 	// EventLease marks a mid-solve worker-lease renegotiation (the
 	// compute budget resized this solve's width between iterations).
 	EventLease = "lease_renegotiated"
-	// EventEngineFallback marks an executor falling back from the
-	// compiled engine to the map engine; the detail carries
-	// Executor.EngineFallbackReason.
-	EventEngineFallback = "engine_fallback"
 	// EventWarmStart marks a warm-start store hit (detail: exact or
 	// family bucket).
 	EventWarmStart = "warmstart_hit"

@@ -59,7 +59,7 @@ func TestEventRingSnapshotJob(t *testing.T) {
 // including the version and dropped fields of the envelope.
 func TestEventDumpRoundtrip(t *testing.T) {
 	r := testRing(2)
-	r.Record(SevWarn, EventEngineFallback, "job-9", "hash", "noisy device")
+	r.Record(SevWarn, EventWarmStartDimMismatch, "job-9", "hash", "12 != 9")
 	r.Record(SevInfo, EventLease, "job-9", "hash", "width 8 -> 4")
 	r.Record(SevInfo, EventLease, "job-9", "hash", "width 4 -> 8")
 
@@ -129,7 +129,7 @@ func TestEventScopeNilSafe(t *testing.T) {
 
 	r := testRing(4)
 	scope := &EventScope{Ring: r, JobID: "job-7", SpecHash: "abc"}
-	scope.Event(SevWarn, EventEngineFallback, "detail")
+	scope.Event(SevWarn, EventWarmStartDimMismatch, "detail")
 	got := r.Snapshot()
 	if len(got) != 1 || got[0].JobID != "job-7" || got[0].SpecHash != "abc" || got[0].Severity != SevWarn {
 		t.Fatalf("scope event mangled: %+v", got)

@@ -43,8 +43,8 @@ const DefaultCompiledMaxStates = 1 << 17
 
 // compiledPairBudget caps len(states)·(distinct operators): the partner
 // tables are the dominant memory cost (4 bytes per state per distinct
-// vector), and a schedule with many distinct vectors over a large closure is
-// better served by the map engine than by a hundred-MiB compile artifact.
+// vector), and a schedule with many distinct vectors over a large closure
+// fails to compile rather than build a hundred-MiB artifact.
 const compiledPairBudget = 1 << 23
 
 // Sharding thresholds of the compiled transition kernel. Supports below
@@ -85,11 +85,11 @@ type CompiledSpace struct {
 
 // CompileSpace enumerates the closure of init under the transition vectors
 // ops (entries in {-1,0,+1}, one vector per scheduled operator) and compiles
-// the per-operator partner schedules. It returns ok=false when the closure
-// exceeds maxStates (<=0 means DefaultCompiledMaxStates) or the partner
-// tables would exceed the memory budget — the caller falls back to the map
-// engine in that case.
-func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace, bool) {
+// the per-operator partner schedules. It returns an error carrying the
+// state and pair counts when the closure exceeds maxStates (<=0 means
+// DefaultCompiledMaxStates) or the partner tables would exceed the memory
+// budget.
+func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace, error) {
 	n := init.Len()
 	for _, u := range ops {
 		if len(u) != n {
@@ -132,9 +132,9 @@ func CompileSpace(init bitvec.Vec, ops [][]int64, maxStates int) (*CompiledSpace
 
 // Derive compiles the closure of seeds under the schedule this space was
 // compiled for — the compiled home of states a noise channel moves outside
-// the space. The result shares the schedule's operator rows; ok=false under
+// the space. The result shares the schedule's operator rows; it fails under
 // the same limits as CompileSpace.
-func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpace, bool) {
+func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpace, error) {
 	if maxStates <= 0 {
 		maxStates = DefaultCompiledMaxStates
 	}
@@ -154,7 +154,7 @@ func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpa
 		}
 	}
 	if len(reach) > maxStates {
-		return nil, false
+		return nil, overBudget(len(reach), len(cs.moves), maxStates)
 	}
 	for len(frontier) > 0 {
 		var next []bitvec.Vec
@@ -170,13 +170,13 @@ func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpa
 				}
 			}
 			if len(reach) > maxStates {
-				return nil, false
+				return nil, overBudget(len(reach), len(cs.moves), maxStates)
 			}
 		}
 		frontier = next
 	}
 	if len(cs.moves) > 0 && len(reach)*len(cs.moves) > compiledPairBudget {
-		return nil, false
+		return nil, overBudget(len(reach), len(cs.moves), maxStates)
 	}
 
 	out := &CompiledSpace{
@@ -203,23 +203,33 @@ func (cs *CompiledSpace) Derive(seeds []bitvec.Vec, maxStates int) (*CompiledSpa
 		row := make([]int32, len(out.states))
 		for i, x := range out.states {
 			if y, ok := x.Apply(m, true); ok {
-				j, in := out.index[y]
-				if !in {
-					return nil, false // closure violated; unreachable by construction
-				}
-				row[i] = j + 1
+				row[i] = out.partnerOf(y) + 1
 				out.pairs++
 			} else if y, ok := x.Apply(m, false); ok {
-				j, in := out.index[y]
-				if !in {
-					return nil, false
-				}
-				row[i] = -(j + 1)
+				row[i] = -(out.partnerOf(y) + 1)
 			}
 		}
 		out.partners[r] = row
 	}
-	return out, true
+	return out, nil
+}
+
+// partnerOf returns the index of y, a move image of a state of the space.
+func (cs *CompiledSpace) partnerOf(y bitvec.Vec) int32 {
+	j, in := cs.index[y]
+	if !in {
+		panic("quantum: compiled closure is not closed under its moves") // unreachable by construction
+	}
+	return j
+}
+
+// overBudget is the error of a closure the compile budget does not admit.
+// states counts the states enumerated when enumeration stopped (the whole
+// closure when only the pair cap was passed); each holds one partner entry
+// per distinct operator.
+func overBudget(states, distinct, maxStates int) error {
+	return fmt.Errorf("closure reached %d states and %d pairs, over the caps of %d states and %d pairs",
+		states, states*distinct, maxStates, compiledPairBudget)
 }
 
 // NumQubits returns the register width.
@@ -468,13 +478,18 @@ func (s *CompiledState) AmpAt(i int32) complex128 { return s.amps[i] }
 // pair is rotated exactly once: from its lower member when that member is in
 // the snapshot, from the upper member otherwise.
 func (s *CompiledState) ApplyTransition(op int, t float64) {
+	s.ApplyRotation(op, complex(math.Cos(t), 0), complex(0, math.Sin(t)))
+}
+
+// ApplyRotation is ApplyTransition with the angle's (cos t, i·sin t)
+// precomputed, so a caller evolving many states through the same operator
+// pays for the trigonometry once.
+func (s *CompiledState) ApplyRotation(op int, ct, st complex128) {
 	r := s.space.opRow[op]
 	if r < 0 {
 		return // all-zero vector: no-op, as in Sparse
 	}
 	row := s.space.partners[r]
-	ct := complex(math.Cos(t), 0)
-	st := complex(0, math.Sin(t))
 	snapshot := len(s.active)
 	if snapshot >= compiledShardMin && s.workerLimit() > 1 {
 		s.applySharded(row, ct, st, snapshot)

@@ -27,9 +27,9 @@ func benchCompiledOps() [][]int64 {
 }
 
 func benchCompiledState(b *testing.B) (*CompiledSpace, *CompiledState) {
-	cs, ok := CompileSpace(bitvec.New(64), benchCompiledOps(), 0)
-	if !ok {
-		b.Fatal("compile failed")
+	cs, err := CompileSpace(bitvec.New(64), benchCompiledOps(), 0)
+	if err != nil {
+		b.Fatalf("compile failed: %v", err)
 	}
 	st := cs.NewState()
 	st.ResetState(bitvec.New(64))

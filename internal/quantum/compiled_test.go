@@ -48,9 +48,9 @@ func TestCompiledMatchesSparseBitwise(t *testing.T) {
 		for i := 0; i < n; i++ {
 			init.Set(i, rng.Intn(2) == 1)
 		}
-		cs, ok := CompileSpace(init, ops, 0)
-		if !ok {
-			t.Fatalf("trial %d: compile failed on a %d-var schedule", trial, n)
+		cs, err := CompileSpace(init, ops, 0)
+		if err != nil {
+			t.Fatalf("trial %d: compile failed on a %d-var schedule: %v", trial, n, err)
 		}
 		sp := NewSparse(init)
 		st := cs.NewState()
@@ -87,9 +87,9 @@ func TestCompiledSampleMatchesSparse(t *testing.T) {
 	n := 10
 	ops := randTransitionOps(rng, n, 4)
 	init := bitvec.New(n)
-	cs, ok := CompileSpace(init, ops, 0)
-	if !ok {
-		t.Fatal("compile failed")
+	cs, err := CompileSpace(init, ops, 0)
+	if err != nil {
+		t.Fatalf("compile failed: %v", err)
 	}
 	sp := NewSparse(init)
 	st := cs.NewState()
@@ -123,8 +123,8 @@ func TestCompiledSampleMatchesSparse(t *testing.T) {
 	}
 }
 
-// TestCompileSpaceRespectsCaps verifies the compile budget produces a clean
-// fallback signal rather than an oversized artifact.
+// TestCompileSpaceRespectsCaps verifies the compile budget produces an
+// error rather than an oversized artifact.
 func TestCompileSpaceRespectsCaps(t *testing.T) {
 	n := 12
 	ops := make([][]int64, n)
@@ -134,12 +134,12 @@ func TestCompileSpaceRespectsCaps(t *testing.T) {
 		ops[i] = u
 	}
 	// Single-bit flips generate the full 2^12 hypercube.
-	if _, ok := CompileSpace(bitvec.New(n), ops, 100); ok {
+	if _, err := CompileSpace(bitvec.New(n), ops, 100); err == nil {
 		t.Fatal("compile succeeded past a 100-state budget on a 4096-state closure")
 	}
-	cs, ok := CompileSpace(bitvec.New(n), ops, 1<<13)
-	if !ok {
-		t.Fatal("compile failed within budget")
+	cs, err := CompileSpace(bitvec.New(n), ops, 1<<13)
+	if err != nil {
+		t.Fatalf("compile failed within budget: %v", err)
 	}
 	if cs.Size() != 1<<n {
 		t.Fatalf("closure size %d, want %d", cs.Size(), 1<<n)
@@ -162,9 +162,9 @@ func TestCompiledShardedMatchesSerial(t *testing.T) {
 		ops[i] = u
 	}
 	init := bitvec.New(n)
-	cs, ok := CompileSpace(init, ops, 1<<15)
-	if !ok {
-		t.Fatal("compile failed")
+	cs, err := CompileSpace(init, ops, 1<<15)
+	if err != nil {
+		t.Fatalf("compile failed: %v", err)
 	}
 	run := func(workers int) *CompiledState {
 		old := parallel.Workers()
@@ -212,9 +212,9 @@ func TestCompiledApplyTransitionZeroAllocs(t *testing.T) {
 	n := 12
 	ops := randTransitionOps(rng, n, 6)
 	init := bitvec.New(n)
-	cs, ok := CompileSpace(init, ops, 0)
-	if !ok {
-		t.Fatal("compile failed")
+	cs, err := CompileSpace(init, ops, 0)
+	if err != nil {
+		t.Fatalf("compile failed: %v", err)
 	}
 	st := cs.NewState()
 	idx, _ := cs.IndexOf(init)
@@ -239,9 +239,9 @@ func TestCompiledResetClearsState(t *testing.T) {
 	n := 8
 	ops := randTransitionOps(rng, n, 4)
 	init := bitvec.New(n)
-	cs, ok := CompileSpace(init, ops, 0)
-	if !ok {
-		t.Fatal("compile failed")
+	cs, err := CompileSpace(init, ops, 0)
+	if err != nil {
+		t.Fatalf("compile failed: %v", err)
 	}
 	st := cs.NewState()
 	st.ResetState(init)
@@ -288,9 +288,9 @@ func TestCompiledNoiseKernelsMatchSparse(t *testing.T) {
 		for i := 0; i < n; i++ {
 			init.Set(i, rng.Intn(2) == 1)
 		}
-		cs, ok := CompileSpace(init, ops, 0)
-		if !ok {
-			t.Fatalf("trial %d: compile failed", trial)
+		cs, err := CompileSpace(init, ops, 0)
+		if err != nil {
+			t.Fatalf("trial %d: compile failed: %v", trial, err)
 		}
 		sp := NewSparse(init)
 		st, alt := cs.NewState(), cs.NewState()
@@ -331,9 +331,9 @@ func TestCompiledNoiseKernelsMatchSparse(t *testing.T) {
 				if m == MoveDecay && st.Prob1(q) == 0 {
 					continue
 				}
-				dst, ok := st.Space().Derive(st.Space().MoveImages(q, m), 0)
-				if !ok {
-					t.Fatalf("trial %d step %d: derive failed", trial, step)
+				dst, err := st.Space().Derive(st.Space().MoveImages(q, m), 0)
+				if err != nil {
+					t.Fatalf("trial %d step %d: derive failed: %v", trial, step, err)
 				}
 				idx, ok := st.Space().MoveIndex(q, m, dst)
 				if !ok {
@@ -372,9 +372,9 @@ func TestDeriveMultiSeedClosure(t *testing.T) {
 	}
 	ca, _ := CompileSpace(a, ops, 0)
 	cb, _ := CompileSpace(b, ops, 0)
-	both, ok := ca.Derive([]bitvec.Vec{a, b, a}, 0)
-	if !ok {
-		t.Fatal("derive failed")
+	both, err := ca.Derive([]bitvec.Vec{a, b, a}, 0)
+	if err != nil {
+		t.Fatalf("derive failed: %v", err)
 	}
 	union := map[bitvec.Vec]bool{}
 	for _, cs := range []*CompiledSpace{ca, cb} {
@@ -393,7 +393,7 @@ func TestDeriveMultiSeedClosure(t *testing.T) {
 	if both.NumOps() != len(ops) || both.NumDistinctOps() != ca.NumDistinctOps() {
 		t.Fatal("derived space does not share the schedule")
 	}
-	if _, ok := ca.Derive([]bitvec.Vec{a, b}, 1); ok {
+	if _, err := ca.Derive([]bitvec.Vec{a, b}, 1); err == nil {
 		t.Fatal("derive ignored maxStates")
 	}
 }

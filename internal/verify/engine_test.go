@@ -57,7 +57,7 @@ func TestCompiledEngineAcrossFamilies(t *testing.T) {
 			}
 			d, err := ex.Run(times, rand.New(rand.NewSource(7)))
 			if err != nil {
-				t.Fatalf("%s/%s: sampled run: %v", fam, ex.EngineUsed, err)
+				t.Fatalf("%s/map=%v: sampled run: %v", fam, forceMap, err)
 			}
 			dists[k] = map[string]float64{}
 			for x, v := range d {

@@ -156,17 +156,17 @@ func (cr *caseRunner) denseDiffCheck(sp *quantum.Sparse, ops []core.Transition, 
 // register width: the compiled space is polynomial in the reachable
 // feasible support, not 2^n. The two engines share pairing arithmetic and
 // pruning, so agreement is expected to be exact; the check still measures
-// and reports the divergence against AmpTol. Cases whose reachable closure
-// exceeds the compile budget skip the rung — the production executor falls
-// back to the map engine there anyway.
+// and reports the divergence against AmpTol. A closure over the compile
+// budget fails the rung: the production executor cannot run it either.
 func (cr *caseRunner) compiledDiffCheck(sp *quantum.Sparse, ops []core.Transition, times []float64) {
 	p := cr.tc.p
 	opsU := make([][]int64, len(ops))
 	for i, op := range ops {
 		opsU[i] = op.U
 	}
-	cs, ok := quantum.CompileSpace(p.Init, opsU, 0)
-	if !ok {
+	cs, err := quantum.CompileSpace(p.Init, opsU, 0)
+	if err != nil {
+		cr.checkf("compiled_engine_amplitude", false, 0, "compile failed: %v", err)
 		return
 	}
 	st := cs.NewState()
@@ -216,9 +216,6 @@ func (cr *caseRunner) engineEquivalenceCheck(ops []core.Transition, times []floa
 		cr.checkf("engine_distribution_identity", false, 0,
 			"executor construction failed: %v / %v", errM, errC)
 		return
-	}
-	if compEx.EngineUsed != core.EngineCompiled {
-		return // compile budget exceeded: nothing to compare
 	}
 	dm, errM := mapEx.Run(times, nil)
 	dc, errC := compEx.Run(times, nil)
